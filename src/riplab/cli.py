@@ -121,10 +121,26 @@ def _require(args, *names):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _count(args, name, default):
+    """Option ``name`` as the type of ``default``, which fills in when unset.
+
+    An explicit value below 1 is a usage error, never a silent default.
+    """
+    value = getattr(args, name)
+    if value is None:
+        return default
+    value = type(default)(value)
+    if value < 1:
+        raise UsageError(f"--{name} must be >= 1, got {value}")
+    return value
+
+
 def _spec_from_args(args, seed=None) -> EnsembleSpec:
     _require(args, "kind", "n", "k")
-    return EnsembleSpec(kind=args.kind, n=int(args.n), k=int(args.k),
-                        seed=int(args.seed if seed is None else seed))
+    if seed is None:
+        _require(args, "seed")
+        seed = args.seed
+    return EnsembleSpec(kind=args.kind, n=int(args.n), k=int(args.k), seed=int(seed))
 
 
 def _ball_from_args(args) -> BallDescriptor:
@@ -159,15 +175,15 @@ def cmd_rip(args) -> int:
     grid = _parse_int_list(str(args.sparsity))
     matrix = generate(spec)
     method = args.method or "exact"
-    trials = int(args.trials or 1000)
-    budget = int(args.budget or 2_000_000)
+    trials = _count(args, "trials", 1000)
+    budget = _count(args, "budget", 2_000_000)
 
     def one(m):
         if method == "exact":
             return rip_exact(matrix, m, budget=budget)
         return rip_monte_carlo(matrix, m, trials, int(args.mc_seed or 0))
 
-    reports = parallel_map(one, grid, threads=int(args.threads or 1))
+    reports = parallel_map(one, grid, threads=args.threads)
     rows = [(r.m, r.theta, r.theta_lower, r.theta_upper, r.method)
             for r in sorted(reports, key=lambda r: r.m)]
     atomic_write_text(args.out, _csv(rows, ("m", "theta", "theta_lower",
@@ -183,8 +199,8 @@ def cmd_uup(args) -> int:
     theta = float(args.theta)
     lam = float(args.lam)
     method = args.method or "exact"
-    trials = int(args.trials or 1000)
-    budget = int(args.budget or 2_000_000)
+    trials = _count(args, "trials", 1000)
+    budget = _count(args, "budget", 2_000_000)
 
     def one(seed):
         spec = _spec_from_args(args, seed=seed)
@@ -196,7 +212,7 @@ def cmd_uup(args) -> int:
         return (seed, int(result.holds), measured, result.support_bound,
                 int(result.degenerate))
 
-    rows = parallel_map(one, list(seeds), threads=int(args.threads or 1))
+    rows = parallel_map(one, list(seeds), threads=args.threads)
     rows.sort(key=lambda r: r[0])
     atomic_write_text(args.out, _csv(rows, ("seed", "holds", "theta_measured",
                                             "support_bound", "degenerate")))
@@ -212,7 +228,7 @@ def cmd_recon(args) -> int:
     seeds = _parse_range(str(args.seeds))
     k_list = _parse_int_list(str(args.k_list))
     p = 1.0 if ball.family == "l1" else ball.p
-    sparsity = int(args.sparsity or 1)
+    sparsity = _count(args, "sparsity", 1)
 
     def one(item):
         seed, k = item
@@ -226,7 +242,7 @@ def cmd_recon(args) -> int:
                 res.residual)
 
     work = [(seed, k) for seed in seeds for k in k_list]
-    rows = parallel_map(one, work, threads=int(args.threads or 1))
+    rows = parallel_map(one, work, threads=args.threads)
     rows.sort(key=lambda r: (r[0], r[2]))
     atomic_write_text(args.out, _csv(rows, ("seed", "n", "k", "p", "error",
                                             "rho", "certified", "solver_tol")))
@@ -256,7 +272,7 @@ def cmd_nets(args) -> int:
             raise IOError(str(exc)) from exc
         except (ValueError, KeyError, InvalidSpecError) as exc:
             raise IOError(f"corrupt net file {args.verify}: {exc}") from exc
-        info = _reverify_net(net, int(args.probes or 10_000), int(args.seed or 0))
+        info = _reverify_net(net, _count(args, "probes", 10_000), int(args.seed or 0))
         print(json.dumps(info))
         return EXIT_OK
 
@@ -274,17 +290,17 @@ def cmd_nets(args) -> int:
         _require(args, "n", "m")
         net = sparse_set_net(int(args.n), int(args.m), eps,
                              args.ambient or "sphere", seed,
-                             budget=float(args.budget or 2e6), stall_limit=stall)
+                             budget=_count(args, "budget", 2e6), stall_limit=stall)
         bound = math.comb(int(args.n), int(args.m)) * (5.0 / eps) ** int(args.m)
     elif kind == "difference":
         _require(args, "n", "m", "radius")
         net = difference_set_net(int(args.n), int(args.m), float(args.radius),
-                                 seed, budget=float(args.budget or 2e6))
+                                 seed, budget=_count(args, "budget", 2e6))
         m2 = min(2 * int(args.m), int(args.n))
         bound = math.comb(int(args.n), m2) * 10.0 ** m2
     else:
         raise UsageError(f"unknown construction {kind!r}")
-    probes = int(args.probes or 10_000)
+    probes = _count(args, "probes", 10_000)
     res = cover_check(net, probes, seed)
     net = replace(net, certified_cover=res.pass_, probes_used=probes)
     atomic_write_text(args.out, net_to_json(net))
@@ -391,6 +407,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _merge(args, _load_config(getattr(args, "config", None)))
+        args.threads = _count(args, "threads", 1)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -132,28 +133,33 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def sample_rows(kind: str, n: int, seed: int, rows: range | list,
-                support: tuple[tuple[float, float], ...] | None = None) -> np.ndarray:
-    """Draw the requested rows of the ensemble; any order, any subset."""
-    out = np.empty((len(rows), n))
+def _entries(kind: str, draw, count: int,
+             support: tuple[tuple[float, float], ...] | None) -> np.ndarray:
+    """``count`` ensemble entries from ``draw(c)``, a source of c raw u64 values.
+
+    uniform-sphere-row entries come out Gaussian; callers scale each row.
+    """
+    if kind == "bernoulli":
+        return 1.0 - 2.0 * (draw(count) & np.uint64(1)).astype(np.float64)
+    if kind in ("gaussian", "uniform-sphere-row"):
+        return _box_muller(draw(2 * count))
     if kind == "custom-bounded-symmetric":
         values = np.array([v for v, _ in support])
         cum = np.cumsum([p for _, p in support])
         cum[-1] = 1.0
+        u = np.right_shift(draw(count), 11).astype(np.float64) * _INV53
+        return values[np.searchsorted(cum, u, side="right")]
+    raise InvalidSpecError(f"unknown ensemble kind {kind!r}")  # pragma: no cover
+
+
+def sample_rows(kind: str, n: int, seed: int, rows: range | list,
+                support: tuple[tuple[float, float], ...] | None = None) -> np.ndarray:
+    """Draw the requested rows of the ensemble; any order, any subset."""
+    out = np.empty((len(rows), n))
     for i, r in enumerate(rows):
-        if kind == "bernoulli":
-            raw = _raw_row(seed, r, n)
-            out[i] = 1.0 - 2.0 * (raw & np.uint64(1)).astype(np.float64)
-        elif kind == "gaussian":
-            out[i] = _box_muller(_raw_row(seed, r, 2 * n))
-        elif kind == "uniform-sphere-row":
-            g = _box_muller(_raw_row(seed, r, 2 * n))
-            out[i] = g * (math.sqrt(n) / np.linalg.norm(g))
-        elif kind == "custom-bounded-symmetric":
-            u = np.right_shift(_raw_row(seed, r, n), 11).astype(np.float64) * _INV53
-            out[i] = values[np.searchsorted(cum, u, side="right")]
-        else:  # pragma: no cover - guarded by EnsembleSpec
-            raise InvalidSpecError(f"unknown ensemble kind {kind!r}")
+        out[i] = _entries(kind, partial(_raw_row, seed, r), n, support)
+        if kind == "uniform-sphere-row":
+            out[i] *= math.sqrt(n) / np.linalg.norm(out[i])
     return out
 
 
@@ -172,18 +178,7 @@ def sample_matrix_chunk(spec: EnsembleSpec, seed: int, index: int,
     n, k = spec.n, spec.k
     bg = np.random.Philox(key=np.array([derive_seed(seed, "matrices"), index],
                                        dtype=np.uint64))
-    cells = count * k * n
-    if spec.kind == "bernoulli":
-        raw = bg.random_raw(cells)
-        block = 1.0 - 2.0 * (raw & np.uint64(1)).astype(np.float64)
-    elif spec.kind in ("gaussian", "uniform-sphere-row"):
-        block = _box_muller(bg.random_raw(2 * cells))
-    else:
-        values = np.array([v for v, _ in spec.support])
-        cum = np.cumsum([p for _, p in spec.support])
-        cum[-1] = 1.0
-        u = np.right_shift(bg.random_raw(cells), 11).astype(np.float64) * _INV53
-        block = values[np.searchsorted(cum, u, side="right")]
+    block = _entries(spec.kind, bg.random_raw, count * k * n, spec.support)
     block = block.reshape(count, k, n)
     if spec.kind == "uniform-sphere-row":
         block *= math.sqrt(n) / np.linalg.norm(block, axis=2, keepdims=True)

@@ -4,10 +4,15 @@ The accuracy theta of a k x n measurement matrix at sparsity m is the
 worst deviation of the spectrum of (G_A^T G_A)/k from 1 over supports A
 of size m.  Exact enumeration suffices at size exactly m because
 principal-submatrix interlacing makes smaller supports redundant.
+
+Exact, Monte-Carlo and single-support evaluations share one kernel: form
+the Gram matrix once, gather the principal submatrix of every support and
+take batched LAPACK eigenvalues of the stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,42 +47,33 @@ class SupportSet:
         return len(self.indices)
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+# Doubles per gathered stack of principal submatrices (8 MiB), so memory
+# stays flat however many supports a call evaluates.
+_GATHER_DOUBLES = 1 << 20
 
-    Sweeps until the off-diagonal Frobenius mass drops below tol times the
-    matrix Frobenius norm, with a hard cap of ``max_sweeps`` sweeps.
+
+def _extremal_eigs(gram: np.ndarray, supports: np.ndarray):
+    """(lambda_min, lambda_max) arrays of gram[A, A] over the rows A of (s, m) supports.
+
+    Each principal submatrix goes through its own LAPACK call, so a
+    support's eigenvalues do not depend on which chunk it lands in.
     """
-    A = np.array(a, dtype=float)
-    A = 0.5 * (A + A.T)
-    size = A.shape[0]
-    if size == 1:
-        return A[0, :1].copy()
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return np.zeros(size)
-    target = tol * fro
-    skip = target / size
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(A * A) - np.sum(np.diag(A) ** 2)), 0.0))
-        if off < target:
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
-                c, s = math.cos(phi), math.sin(phi)
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(np.diag(A))
+    count, size = supports.shape
+    step = max(1, _GATHER_DOUBLES // (size * size))
+    lmin, lmax = np.empty(count), np.empty(count)
+    for lo in range(0, count, step):
+        idx = supports[lo:lo + step]
+        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        lmin[lo:lo + step], lmax[lo:lo + step] = eigs[:, 0], eigs[:, -1]
+    return lmin, lmax
+
+
+def _gram(m: MeasurementMatrix, cols=slice(None)) -> np.ndarray:
+    """(G_cols^T G_cols)/k of the raw matrix, all columns by default."""
+    if m.normalization != RAW:
+        raise InvalidSpecError("pass the raw matrix; division by k is internal")
+    g = m.entries[:, cols]
+    return g.T @ g / m.k
 
 
 def gram_extremal_eigs(m: MeasurementMatrix, a: SupportSet) -> tuple[float, float]:
@@ -86,12 +82,9 @@ def gram_extremal_eigs(m: MeasurementMatrix, a: SupportSet) -> tuple[float, floa
         raise EmptySupportError("support must be nonempty")
     if a.n != m.n:
         raise InvalidSpecError("support ambient dimension does not match matrix")
-    if m.normalization != RAW:
-        raise InvalidSpecError("pass the raw matrix; division by k is internal")
-    cols = m.entries[:, list(a.indices)]
-    gram = cols.T @ cols / m.k
-    eigs = jacobi_eigenvalues(gram)
-    return max(float(eigs[0]), 0.0), float(eigs[-1])
+    gram = _gram(m, list(a.indices))
+    lmin, lmax = _extremal_eigs(gram, np.arange(len(a))[None, :])
+    return max(float(lmin[0]), 0.0), float(lmax[0])
 
 
 @dataclass(frozen=True)
@@ -130,8 +123,6 @@ def _report_from_deviations(sparsity, method, lows, highs, supports, trials=None
 def rip_exact(m: MeasurementMatrix, sparsity: int,
               budget: int = 2_000_000) -> RipReport:
     """Exact accuracy at the given sparsity by enumerating all supports."""
-    import itertools
-
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("need 1 <= sparsity <= n")
     count = math.comb(m.n, sparsity)
@@ -139,55 +130,44 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
         raise BudgetError(
             f"C({m.n},{sparsity}) = {count} supports exceed budget {budget}; "
             "use rip_monte_carlo")
-    lows, highs, supports = [], [], []
-    for combo in itertools.combinations(range(m.n), sparsity):
-        lmin, lmax = gram_extremal_eigs(m, SupportSet(indices=combo, n=m.n))
-        lows.append(1.0 - lmin)
-        highs.append(lmax - 1.0)
-        supports.append(combo)
-    return _report_from_deviations(sparsity, EXACT_METHOD, np.array(lows),
-                                   np.array(highs), supports, n=m.n)
+    gram = _gram(m)
+    supports = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m.n), sparsity)),
+        dtype=np.intp, count=count * sparsity).reshape(count, sparsity)
+    lmin, lmax = _extremal_eigs(gram, supports)
+    return _report_from_deviations(sparsity, EXACT_METHOD, 1.0 - lmin, lmax - 1.0,
+                                   supports, n=m.n)
 
 
 def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """First m entries of a Fisher-Yates shuffle of range(n)."""
     arr = np.arange(n)
+    offsets = rng.integers(0, n - np.arange(m))
     for j in range(m):
-        swap = j + int(rng.integers(0, n - j))
+        swap = j + int(offsets[j])
         arr[j], arr[swap] = arr[swap], arr[j]
     return arr[:m]
 
 
-def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int, seed: int,
-                    chunk: int = 256) -> RipReport:
+def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
+                    seed: int) -> RipReport:
     """Sampled lower bound on the exact accuracy over uniform random supports.
 
     Each trial index owns its own seeded support draw, so results are
-    independent of execution order and of the chunking below.  Eigenvalues
-    are computed by batched LAPACK for throughput; agreement with the
-    Jacobi-backed exact route is pinned in tests.
+    independent of execution order.  Supports go through the same
+    eigenvalue kernel as ``rip_exact``, so a run that draws every support
+    reproduces the exact theta bit for bit.
     """
     if trials < 1:
         raise InvalidSpecError("trials must be >= 1")
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("sparsity exceeds ambient dimension")
-    if m.normalization != RAW:
-        raise InvalidSpecError("pass the raw matrix; division by k is internal")
-    entries, k = m.entries, m.k
-    lows = np.empty(trials)
-    highs = np.empty(trials)
-    supports: list[np.ndarray] = []
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        batch = [np.sort(fisher_yates_prefix(philox(seed, "rip-mc", t), m.n, sparsity))
-                 for t in range(lo, hi)]
-        supports.extend(batch)
-        cols = np.stack([entries[:, idx] for idx in batch])      # (b, k, m)
-        grams = np.einsum("bki,bkj->bij", cols, cols) / k
-        eigs = np.linalg.eigvalsh(grams)
-        lows[lo:hi] = 1.0 - eigs[:, 0]
-        highs[lo:hi] = eigs[:, -1] - 1.0
-    return _report_from_deviations(sparsity, MC_METHOD, lows, highs, supports,
+    gram = _gram(m)
+    draws = [fisher_yates_prefix(philox(seed, "rip-mc", t), m.n, sparsity)
+             for t in range(trials)]
+    supports = np.sort(np.stack(draws), axis=1)
+    lmin, lmax = _extremal_eigs(gram, supports)
+    return _report_from_deviations(sparsity, MC_METHOD, 1.0 - lmin, lmax - 1.0, supports,
                                    trials=trials, n=m.n)
 
 

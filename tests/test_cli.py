@@ -219,3 +219,39 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run(["rip", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["gen", "rip"])
+def test_missing_seed_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = ["--sparsity", "1"] if command == "rip" else []
+    assert run([command, "--kind", "bernoulli", "--n", 8, "--k", 4,
+                "--out", out, *extra]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RIP = ["rip", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1, "--sparsity", "2"]
+UUP = ["uup", "--kind", "bernoulli", "--n", 8, "--k", 4, "--theta", 0.5, "--lam", 2.0,
+       "--seeds", "0:2"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (RIP + ["--method", "mc", "--trials", 0], "--trials"),
+    (UUP + ["--method", "mc", "--trials", 0], "--trials"),
+    (RIP + ["--threads", 0], "--threads"),
+    (UUP + ["--threads", -1], "--threads"),
+    (RIP + ["--budget", 0], "--budget"),
+    (["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", 0.5,
+      "--seed", 0, "--budget", 0], "--budget"),
+    (["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5, "--seed", 0,
+      "--probes", 0], "--probes"),
+    (["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model", "sparse",
+      "--sparsity", 0, "--seeds", "0:2", "--k-list", "4"], "--sparsity"),
+], ids=["rip-trials", "uup-trials", "rip-threads", "uup-threads", "rip-budget",
+        "nets-budget", "nets-probes", "recon-sparsity"])
+def test_count_below_one_exit_1(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -159,6 +160,31 @@ def test_sample_matrix_chunk_deterministic_and_isotropic():
     assert np.array_equal(a, b)
     assert a.shape == (16, 4, 8)
     assert set(np.unique(a)) <= {-1.0, 1.0}
+
+
+# sha256 of the f64 bytes of generate(spec) and sample_matrix_chunk(spec, 5, 3, 8)
+# at n=64, k=32, seed=5: any change to a per-kind transform shows up here.
+GOLDEN_SHA256 = {
+    "gaussian": ("5828e59582415fcbb7128c931b70186bfaa87b4b4919abadd958559ec2542d7f",
+                 "c8213a54deacc94545e5a852b1121a23f298224ea7215bcb73a461b40ee3835b"),
+    "bernoulli": ("e957f9619c03bed5fd28d24278bbac0b39610c82999bb589d7c3098088e1887d",
+                  "cd0d049b627f7a07829feae541d278b2e1179edbbdf55891e3a0de4f4be73949"),
+    "uniform-sphere-row": (
+        "4a3e83e1daf85ff02af06419afe426690bab00146b9f6789e575d04b8f698762",
+        "e7f239b6fa4ebb61de6645a4fa6d1567a277d8c42b7ebb9036c0d17d14d30167"),
+    "custom-bounded-symmetric": (
+        "485e8111541e1fa5277d662df6d4e918b5872f83437e289b42d2fee0617669ca",
+        "6785ef6a51cc5796cfc95b9b3854d9fde3387152f6dcbd000d9dd1f354beb02b"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
+def test_sampler_bytes_golden(kind):
+    support = THREE_POINT if kind == "custom-bounded-symmetric" else None
+    spec = EnsembleSpec(kind, n=64, k=32, seed=5, support=support)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (generate(spec).entries, sample_matrix_chunk(spec, 5, 3, 8)))
+    assert got == GOLDEN_SHA256[kind]
 
 
 def test_spec_json_round_trip():
