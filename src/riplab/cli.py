@@ -11,16 +11,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ._util import atomic_write_text, parallel_map
 from .ensembles import EnsembleSpec, generate, write_matrix
 from .errors import BudgetError, InvalidSpecError, RiplabError
 from .geometry import BallDescriptor
-from .nets import (Net, cover_check, difference_set_net, greedy_separated_net,
-                   min_pairwise_distance, net_from_json, net_to_json,
-                   sparse_set_net, volumetric_bound)
+from .nets import (Net, certify_cover, cover_check, difference_set_net,
+                   greedy_separated_net, min_pairwise_distance, net_from_json,
+                   net_to_json, sparse_set_net, volumetric_bound)
 from .recon import recon_experiment, rho_from_budget
 from .spectral import check_uup, rip_exact, rip_monte_carlo
 
@@ -28,6 +27,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_BUDGET = 3
+
+_KINDS = ("gaussian", "bernoulli", "uniform-sphere-row")
+
+# options that count something: an explicit value below 1 is a usage error
+_COUNTS = ("trials", "threads", "budget", "probes", "sparsity", "stall_limit")
+
+# the structured sweep shape of a config file: nested key -> flag it fills
+_NESTED = {"ensemble": {"kind": "kind", "n": "n", "k": "k", "seed": "seed"},
+           "ball": {"family": "ball", "p": "p", "radius": "radius", "dim": "n"}}
+
+# net construction -> (options it needs beyond --epsilon/--out, default --ambient)
+_CONSTRUCTIONS = {"greedy": (("dim",), "ball"),
+                  "sparse": (("n", "m"), "sphere"),
+                  "difference": (("n", "m", "radius"), None)}
 
 log = logging.getLogger("riplab")
 
@@ -37,7 +50,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1, not 2."""
+    """argparse that exits 1 on usage problems and never expands abbreviations."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -55,104 +71,66 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_range(text: str) -> range:
+def seed_range(text: str) -> range:
     lo, _, hi = text.partition(":")
     r = range(int(lo), int(hi)) if hi else range(0, int(lo))
     if len(r) == 0:
-        raise UsageError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return r
 
 
-def _parse_int_list(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
     vals = [int(v) for v in text.split(",") if v.strip()]
     if not vals:
-        raise UsageError(f"empty list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
     return vals
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IOError(f"cannot read config {path}: {exc}") from exc
+def _config_tokens(path: str) -> list[str]:
+    """The JSON config file as ``--flag=value`` tokens.
 
-
-def _merge(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    """Flags override config-file values; config fills unset flags.
-
-    Accepts both flat flag-named keys and the structured sweep shape
-    {ensemble: {...}, ball: {...}, t0_model, seeds: [lo, hi), k_list, output}.
+    Keys are flag names, with dashes or underscores.  The structured sweep
+    shape {ensemble: {...}, ball: {...}, seeds: [lo, hi], k_list: [...],
+    output} is translated first; flat keys win over structured ones.
     """
-    flat = dict(config)
-    ensemble = flat.pop("ensemble", None)
-    if isinstance(ensemble, dict):
-        for key in ("kind", "n", "k", "seed"):
-            if key in ensemble:
-                flat.setdefault(key, ensemble[key])
-    ball = flat.pop("ball", None)
-    if isinstance(ball, dict):
-        family = ball.get("family")
-        flat.setdefault("ball", "weak-lp" if family == "weak-lp" else "l1")
-        for src, dst in (("p", "p"), ("radius", "radius"), ("dim", "n")):
-            if src in ball:
-                flat.setdefault(dst, ball[src])
-    elif ball is not None:
-        flat["ball"] = ball
-    seeds = flat.get("seeds")
-    if isinstance(seeds, (list, tuple)) and len(seeds) == 2:
-        flat["seeds"] = f"{seeds[0]}:{seeds[1]}"
-    k_list = flat.get("k_list")
-    if isinstance(k_list, (list, tuple)):
-        flat["k_list"] = ",".join(str(k) for k in k_list)
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise IOError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} is not a JSON object")
+    flat = {key.replace("_", "-"): value for key, value in config.items()
+            if not (key in _NESTED and isinstance(value, dict))}
+    for outer, flags in _NESTED.items():
+        if isinstance(config.get(outer), dict):
+            for key, value in config[outer].items():
+                if key not in flags:
+                    raise UsageError(f"unknown config key {outer}.{key}")
+                flat.setdefault(flags[key], value)
     if "output" in flat:
         flat.setdefault("out", flat.pop("output"))
+    tokens = []
     for key, value in flat.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
-    return args
+        if key == "seeds" and isinstance(value, list) and len(value) == 2:
+            value = f"{value[0]}:{value[1]}"
+        elif isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        token = f"--{key}={value}"
+        if value is None or isinstance(value, (bool, dict)) or not token.isprintable():
+            raise UsageError(f"config key {key!r}: {value!r} is not a flag value")
+        tokens.append(token)
+    return tokens
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the --config file's tokens spliced in after the command.
 
-
-def _count(args, name, default):
-    """Option ``name`` as the type of ``default``, which fills in when unset.
-
-    An explicit value below 1 is a usage error, never a silent default.
+    argparse keeps the last value it sees, so command-line flags win.
     """
-    value = getattr(args, name)
-    if value is None:
-        return default
-    value = type(default)(value)
-    if value < 1:
-        raise UsageError(f"--{name} must be >= 1, got {value}")
-    return value
-
-
-def _spec_from_args(args, seed=None) -> EnsembleSpec:
-    _require(args, "kind", "n", "k")
-    if seed is None:
-        _require(args, "seed")
-        seed = args.seed
-    return EnsembleSpec(kind=args.kind, n=int(args.n), k=int(args.k), seed=int(seed))
-
-
-def _ball_from_args(args) -> BallDescriptor:
-    _require(args, "ball", "n")
-    n = int(args.n)
-    radius = float(args.radius if args.radius is not None else 1.0)
-    if args.ball == "l1":
-        return BallDescriptor.l1_ball(n, radius)
-    if args.ball == "weak-lp":
-        _require(args, "p")
-        return BallDescriptor.weak_lp_ball(n, float(args.p), radius)
-    raise UsageError(f"unknown ball {args.ball!r}")
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    return argv if path is None else argv[:1] + _config_tokens(path) + argv[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -160,93 +138,75 @@ def _ball_from_args(args) -> BallDescriptor:
 
 
 def cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    _require(args, "out")
+    spec = EnsembleSpec(args.kind, args.n, args.k, args.seed)
     matrix = generate(spec)
-    write_matrix(args.out, matrix, fmt=args.format or "binary")
+    write_matrix(args.out, matrix, fmt=args.format)
     print(f"wrote {matrix.k}x{matrix.n} {spec.kind} matrix (seed {spec.seed}) "
           f"to {args.out}")
     return EXIT_OK
 
 
 def cmd_rip(args) -> int:
-    spec = _spec_from_args(args)
-    _require(args, "sparsity", "out")
-    grid = _parse_int_list(str(args.sparsity))
-    matrix = generate(spec)
-    method = args.method or "exact"
-    trials = _count(args, "trials", 1000)
-    budget = _count(args, "budget", 2_000_000)
+    matrix = generate(EnsembleSpec(args.kind, args.n, args.k, args.seed))
 
     def one(m):
-        if method == "exact":
-            return rip_exact(matrix, m, budget=budget)
-        return rip_monte_carlo(matrix, m, trials, int(args.mc_seed or 0))
+        if args.method == "exact":
+            return rip_exact(matrix, m, budget=args.budget)
+        return rip_monte_carlo(matrix, m, args.trials, args.mc_seed)
 
-    reports = parallel_map(one, grid, threads=args.threads)
+    reports = parallel_map(one, args.grid, threads=args.threads)
     rows = [(r.m, r.theta, r.theta_lower, r.theta_upper, r.method)
             for r in sorted(reports, key=lambda r: r.m)]
     atomic_write_text(args.out, _csv(rows, ("m", "theta", "theta_lower",
                                             "theta_upper", "method")))
     worst = max(r.theta for r in reports)
-    print(f"rip sweep over m={grid}: worst theta {worst:.6g} ({method}) -> {args.out}")
+    print(f"rip sweep over m={args.grid}: worst theta {worst:.6g} ({args.method}) "
+          f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_uup(args) -> int:
-    _require(args, "kind", "n", "k", "theta", "lam", "seeds", "out")
-    seeds = _parse_range(str(args.seeds))
-    theta = float(args.theta)
-    lam = float(args.lam)
-    method = args.method or "exact"
-    trials = _count(args, "trials", 1000)
-    budget = _count(args, "budget", 2_000_000)
+    method = "exact-enumeration" if args.method == "exact" else "monte-carlo"
 
     def one(seed):
-        spec = _spec_from_args(args, seed=seed)
-        result = check_uup(generate(spec), theta, lam,
-                           method="exact-enumeration" if method == "exact"
-                           else "monte-carlo",
-                           trials=trials, seed=seed, budget=budget)
+        spec = EnsembleSpec(args.kind, args.n, args.k, seed)
+        result = check_uup(generate(spec), args.theta, args.lam, method=method,
+                           trials=args.trials, seed=seed, budget=args.budget)
         measured = result.report.theta if result.report else 0.0
         return (seed, int(result.holds), measured, result.support_bound,
                 int(result.degenerate))
 
-    rows = parallel_map(one, list(seeds), threads=args.threads)
+    rows = parallel_map(one, list(args.seeds), threads=args.threads)
     rows.sort(key=lambda r: r[0])
     atomic_write_text(args.out, _csv(rows, ("seed", "holds", "theta_measured",
                                             "support_bound", "degenerate")))
     frac = sum(r[1] for r in rows) / len(rows)
-    print(f"uup(theta={theta}, lambda={lam}) over {len(rows)} seeds: "
+    print(f"uup(theta={args.theta}, lambda={args.lam}) over {len(rows)} seeds: "
           f"pass fraction {frac:.3f} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_recon(args) -> int:
-    _require(args, "kind", "n", "seeds", "k_list", "out", "t0_model")
-    ball = _ball_from_args(args)
-    seeds = _parse_range(str(args.seeds))
-    k_list = _parse_int_list(str(args.k_list))
+    ball = BallDescriptor(args.ball, args.n, args.p if args.ball == "weak-lp" else None,
+                          args.radius)
     p = 1.0 if ball.family == "l1" else ball.p
-    sparsity = _count(args, "sparsity", 1)
 
     def one(item):
         seed, k = item
-        spec = EnsembleSpec(kind=args.kind, n=int(args.n), k=k, seed=seed)
+        spec = EnsembleSpec(args.kind, args.n, k, seed)
         res = recon_experiment(spec, ball, args.t0_model, seed,
-                               sparsity=sparsity,
-                               solver=args.solver or "iterative")
-        rho = rho_from_budget(p, k, int(args.n), ball.radius)
-        return (seed, int(args.n), k, p, res.error,
+                               sparsity=args.sparsity, solver=args.solver)
+        rho = rho_from_budget(p, k, args.n, ball.radius)
+        return (seed, args.n, k, p, res.error,
                 math.nan if rho is None else rho, int(res.certified),
                 res.residual)
 
-    work = [(seed, k) for seed in seeds for k in k_list]
+    work = [(seed, k) for seed in args.seeds for k in args.k_list]
     rows = parallel_map(one, work, threads=args.threads)
     rows.sort(key=lambda r: (r[0], r[2]))
     atomic_write_text(args.out, _csv(rows, ("seed", "n", "k", "p", "error",
                                             "rho", "certified", "solver_tol")))
-    print(f"recon sweep: {len(rows)} runs ({len(seeds)} seeds x {k_list}) "
+    print(f"recon sweep: {len(rows)} runs ({len(args.seeds)} seeds x {args.k_list}) "
           f"-> {args.out}")
     return EXIT_OK
 
@@ -265,53 +225,47 @@ def _reverify_net(net: Net, probes: int, seed: int) -> dict:
 
 
 def cmd_nets(args) -> int:
-    if args.verify:
+    if args.verify is not None:
         try:
             net = net_from_json(Path(args.verify).read_text())
         except OSError as exc:
             raise IOError(str(exc)) from exc
         except (ValueError, KeyError, InvalidSpecError) as exc:
             raise IOError(f"corrupt net file {args.verify}: {exc}") from exc
-        info = _reverify_net(net, _count(args, "probes", 10_000), int(args.seed or 0))
-        print(json.dumps(info))
+        print(json.dumps(_reverify_net(net, args.probes, args.seed)))
         return EXIT_OK
 
-    _require(args, "construct", "epsilon", "out")
-    eps = float(args.epsilon)
-    seed = int(args.seed or 0)
-    stall = int(args.stall_limit) if args.stall_limit else None
     kind = args.construct
+    needs, default_ambient = _CONSTRUCTIONS[kind]
+    for name in ("epsilon", "out", *needs):
+        if getattr(args, name) is None:
+            raise UsageError(f"--construct {kind} needs --{name}")
+    ambient = default_ambient if args.ambient is None else args.ambient
+    eps = args.epsilon
     if kind == "greedy":
-        _require(args, "dim")
-        net = greedy_separated_net(int(args.dim), eps, args.ambient or "ball",
-                                   seed, stall_limit=stall)
-        bound = volumetric_bound(int(args.dim), eps)
+        net = greedy_separated_net(args.dim, eps, ambient, args.seed,
+                                   stall_limit=args.stall_limit)
+        bound = volumetric_bound(args.dim, eps)
     elif kind == "sparse":
-        _require(args, "n", "m")
-        net = sparse_set_net(int(args.n), int(args.m), eps,
-                             args.ambient or "sphere", seed,
-                             budget=_count(args, "budget", 2e6), stall_limit=stall)
-        bound = math.comb(int(args.n), int(args.m)) * (5.0 / eps) ** int(args.m)
-    elif kind == "difference":
-        _require(args, "n", "m", "radius")
-        net = difference_set_net(int(args.n), int(args.m), float(args.radius),
-                                 seed, budget=_count(args, "budget", 2e6))
-        m2 = min(2 * int(args.m), int(args.n))
-        bound = math.comb(int(args.n), m2) * 10.0 ** m2
+        net = sparse_set_net(args.n, args.m, eps, ambient, args.seed,
+                             budget=args.budget, stall_limit=args.stall_limit)
+        bound = math.comb(args.n, args.m) * (5.0 / eps) ** args.m
     else:
-        raise UsageError(f"unknown construction {kind!r}")
-    probes = _count(args, "probes", 10_000)
-    res = cover_check(net, probes, seed)
-    net = replace(net, certified_cover=res.pass_, probes_used=probes)
+        net = difference_set_net(args.n, args.m, args.radius, args.seed,
+                                 budget=args.budget)
+        m2 = min(2 * args.m, args.n)
+        bound = math.comb(args.n, m2) * 10.0 ** m2
+    net = certify_cover(net, args.probes, args.seed)
     atomic_write_text(args.out, net_to_json(net))
     if args.table:
         rows = [(kind, net.dim, eps, len(net), bound,
-                 int(len(net) <= bound), int(res.pass_))]
+                 int(len(net) <= bound), int(net.certified_cover))]
         atomic_write_text(args.table, _csv(rows, ("construction", "dim", "epsilon",
                                                   "size", "bound", "within_bound",
                                                   "cover_pass")))
     print(f"{kind} net: {len(net)} points (bound {bound:.6g}), cover probe "
-          f"{'pass' if res.pass_ else 'FAIL'} at {probes} probes -> {args.out}")
+          f"{'pass' if net.certified_cover else 'FAIL'} at {args.probes} probes "
+          f"-> {args.out}")
     return EXIT_OK
 
 
@@ -321,8 +275,7 @@ def cmd_nets(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--threads", type=int, help="worker thread cap (default 1)")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=1, help="worker thread cap")
 
 
 def build_parser() -> _Parser:
@@ -330,69 +283,75 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("gen", help="write a measurement matrix file")
-    g.add_argument("--kind", choices=("gaussian", "bernoulli", "uniform-sphere-row"))
-    g.add_argument("--n", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--out")
-    g.add_argument("--format", choices=("binary", "csv"))
+    g.add_argument("--kind", choices=_KINDS, required=True)
+    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--out", required=True)
+    g.add_argument("--format", choices=("binary", "csv"), default="binary")
     _add_common(g)
     g.set_defaults(func=cmd_gen)
 
     r = subs.add_parser("rip", help="restricted-isometry sweep over sparsity levels")
-    r.add_argument("--kind", choices=("gaussian", "bernoulli", "uniform-sphere-row"))
-    r.add_argument("--n", type=int)
-    r.add_argument("--k", type=int)
-    r.add_argument("--sparsity", help="comma list, e.g. 1,2,3")
-    r.add_argument("--method", choices=("exact", "mc"))
-    r.add_argument("--trials", type=int)
-    r.add_argument("--mc-seed", type=int, dest="mc_seed")
-    r.add_argument("--budget", type=int)
-    r.add_argument("--out")
+    r.add_argument("--kind", choices=_KINDS, required=True)
+    r.add_argument("--n", type=int, required=True)
+    r.add_argument("--k", type=int, required=True)
+    r.add_argument("--seed", type=int, required=True)
+    # a list, so its dest is not the name of recon's count option --sparsity
+    r.add_argument("--sparsity", type=int_list, dest="grid", required=True,
+                   metavar="LIST", help="comma list, e.g. 1,2,3")
+    r.add_argument("--method", choices=("exact", "mc"), default="exact")
+    r.add_argument("--trials", type=int, default=1000)
+    r.add_argument("--mc-seed", type=int, default=0)
+    r.add_argument("--budget", type=int, default=2_000_000)
+    r.add_argument("--out", required=True)
     _add_common(r)
     r.set_defaults(func=cmd_rip)
 
     u = subs.add_parser("uup", help="seed sweep of the near-isometry check")
-    u.add_argument("--kind", choices=("gaussian", "bernoulli", "uniform-sphere-row"))
-    u.add_argument("--n", type=int)
-    u.add_argument("--k", type=int)
-    u.add_argument("--theta", type=float)
-    u.add_argument("--lam", type=float)
-    u.add_argument("--seeds", help="seed range lo:hi")
-    u.add_argument("--method", choices=("exact", "mc"))
-    u.add_argument("--trials", type=int)
-    u.add_argument("--budget", type=int)
-    u.add_argument("--out")
+    u.add_argument("--kind", choices=_KINDS, required=True)
+    u.add_argument("--n", type=int, required=True)
+    u.add_argument("--k", type=int, required=True)
+    u.add_argument("--theta", type=float, required=True)
+    u.add_argument("--lam", type=float, required=True)
+    u.add_argument("--seeds", type=seed_range, required=True, help="seed range lo:hi")
+    u.add_argument("--method", choices=("exact", "mc"), default="exact")
+    u.add_argument("--trials", type=int, default=1000)
+    u.add_argument("--budget", type=int, default=2_000_000)
+    u.add_argument("--out", required=True)
     _add_common(u)
     u.set_defaults(func=cmd_uup)
 
     c = subs.add_parser("recon", help="reconstruction error sweep")
-    c.add_argument("--kind", choices=("gaussian", "bernoulli", "uniform-sphere-row"))
-    c.add_argument("--n", type=int)
-    c.add_argument("--ball", choices=("l1", "weak-lp"))
+    c.add_argument("--kind", choices=_KINDS, required=True)
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--ball", choices=("l1", "weak-lp"), required=True)
     c.add_argument("--p", type=float)
-    c.add_argument("--radius", type=float)
-    c.add_argument("--t0-model", dest="t0_model",
-                   choices=("sparse", "weak-lp-extremal", "random-ball"))
-    c.add_argument("--sparsity", type=int)
-    c.add_argument("--solver", choices=("iterative", "exact"))
-    c.add_argument("--seeds", help="seed range lo:hi")
-    c.add_argument("--k-list", dest="k_list", help="comma list of k values")
-    c.add_argument("--out")
+    c.add_argument("--radius", type=float, default=1.0)
+    c.add_argument("--t0-model", choices=("sparse", "weak-lp-extremal", "random-ball"),
+                   required=True)
+    c.add_argument("--sparsity", type=int, default=1)
+    c.add_argument("--solver", choices=("iterative", "exact"), default="iterative")
+    c.add_argument("--seeds", type=seed_range, required=True, help="seed range lo:hi")
+    c.add_argument("--k-list", type=int_list, required=True, help="comma list of k values")
+    c.add_argument("--out", required=True)
     _add_common(c)
     c.set_defaults(func=cmd_recon)
 
     n = subs.add_parser("nets", help="build or re-verify covering nets")
-    n.add_argument("--construct", choices=("greedy", "sparse", "difference"))
-    n.add_argument("--verify", help="net JSON file to reload and re-verify")
+    action = n.add_mutually_exclusive_group(required=True)
+    action.add_argument("--construct", choices=tuple(_CONSTRUCTIONS))
+    action.add_argument("--verify", help="net JSON file to reload and re-verify")
     n.add_argument("--dim", type=int)
     n.add_argument("--n", type=int)
     n.add_argument("--m", type=int)
     n.add_argument("--epsilon", type=float)
     n.add_argument("--radius", type=float)
     n.add_argument("--ambient", choices=("ball", "sphere"))
-    n.add_argument("--probes", type=int)
-    n.add_argument("--budget", type=float)
-    n.add_argument("--stall-limit", type=int, dest="stall_limit")
+    n.add_argument("--seed", type=int, default=0)
+    n.add_argument("--probes", type=int, default=10_000)
+    n.add_argument("--budget", type=float, default=2e6)
+    n.add_argument("--stall-limit", type=int)
     n.add_argument("--out")
     n.add_argument("--table")
     _add_common(n)
@@ -403,11 +362,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        args = _merge(args, _load_config(getattr(args, "config", None)))
-        args.threads = _count(args, "threads", 1)
+        args = build_parser().parse_args(_with_config(argv))
+        for name in _COUNTS:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import philox
 from .errors import BudgetError, CoverViolationError, InvalidSpecError
-from .geometry import BallDescriptor, sample_ambient_batch, top_m_l2
+from .geometry import BallDescriptor, sample_ambient_batch
 
 
 @dataclass(frozen=True)
@@ -401,22 +401,20 @@ def gaussian_width(ball: BallDescriptor, samples: int, seed: int) -> WidthEstima
     rng = philox(seed, "gaussian-width")
     g = rng.standard_normal((samples, ball.dim))
     fam = ball.family
-    if fam in ("sparse-sphere", "sparse-ball"):
+    if fam in ("sparse-sphere", "sparse-ball", "weak-lp"):
         m = ball.sparsity
+        if m is None or not 1 <= m <= ball.dim:
+            raise InvalidSpecError("weak-lp width needs a paired sparsity in [1, dim]")
         if m == ball.dim:
             sup = np.linalg.norm(g, axis=1)
         else:
             sq = np.partition(g * g, ball.dim - m, axis=1)[:, ball.dim - m:]
             sup = np.sqrt(np.sum(sq, axis=1))
-        sup = ball.radius * sup
+        sup = (2.0 if fam == "weak-lp" else ball.radius) * sup
     elif fam == "l1":
         sup = ball.radius * np.max(np.abs(g), axis=1)
     elif fam == "l2":
         sup = ball.radius * np.linalg.norm(g, axis=1)
-    elif fam == "weak-lp":
-        if ball.sparsity is None:
-            raise InvalidSpecError("weak-lp width needs the paired sparsity")
-        sup = np.array([2.0 * top_m_l2(row, ball.sparsity) for row in g])
     else:
         raise InvalidSpecError(f"no width rule for family {fam!r}")
     est = float(np.mean(sup))

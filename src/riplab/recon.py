@@ -405,7 +405,7 @@ def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
     result = l1_minimize(mat, b, mode=solver, t0=t0)
     bound = None
     certified = False
-    if rho is None:
+    if certify and rho is None:
         p = 1.0 if ball.family == "l1" else ball.p
         rho = rho_from_budget(p, spec.k, spec.n, ball.radius)
     if certify and rho is not None:

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 from scipy.optimize import linprog
 
@@ -27,6 +28,8 @@ from riplab.recon import (kernel_diameter_lower, kernel_diameter_upper,
                           l1_minimize, recon_experiment, rho_from_budget)
 from riplab.spectral import fisher_yates_prefix, rip_exact, rip_monte_carlo
 from riplab.cli import main as cli_main
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(num, ok, detail):

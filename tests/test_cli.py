@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riplab.cli import main
 from riplab.ensembles import matrix_from_binary, matrix_from_csv
@@ -246,12 +248,68 @@ UUP = ["uup", "--kind", "bernoulli", "--n", 8, "--k", 4, "--theta", 0.5, "--lam"
       "--seed", 0, "--budget", 0], "--budget"),
     (["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5, "--seed", 0,
       "--probes", 0], "--probes"),
+    (["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5, "--seed", 0,
+      "--stall-limit", 0], "--stall-limit"),
     (["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model", "sparse",
       "--sparsity", 0, "--seeds", "0:2", "--k-list", "4"], "--sparsity"),
 ], ids=["rip-trials", "uup-trials", "rip-threads", "uup-threads", "rip-budget",
-        "nets-budget", "nets-probes", "recon-sparsity"])
+        "nets-budget", "nets-probes", "nets-stall-limit", "recon-sparsity"])
 def test_count_below_one_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
     assert f"{flag} must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"n": "abc"}, ["gen", "--kind", "bernoulli", "--k", 2, "--seed", 1]),
+    ([8, 4], ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1]),
+    ({"frobnicate": 3}, ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1]),
+    ({"table": "net\x00.csv"}, ["nets", "--construct", "greedy", "--dim", 2,
+                                  "--epsilon", 0.5]),
+    (None, UUP + ["--seed", 3]),
+], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
+        "uup-seed"])
+def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", cfg]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+    assert not out.exists()
+
+
+# A valid base config that generated entries may override or break.
+BASE_CONFIG = {"kind": "bernoulli", "n": 8, "k": 4, "seed": 1, "out": "out"}
+GEN_KEYS = ["kind", "n", "k", "seed", "out", "format", "config", "threads",
+            "ensemble", "output"]
+RIP_KEYS = GEN_KEYS[:5] + ["sparsity", "method", "trials", "mc-seed", "mc_seed",
+                           "budget", "config", "threads", "ensemble", "output"]
+# No '/', so every path a command writes stays in the working directory, and no
+# decimal digit, so a text value never parses as an int outside [-2, 16].
+TEXT = (st.text(st.characters(exclude_categories=("Nd",), exclude_characters="/"),
+                max_size=10)
+        | st.sampled_from(["gaussian", "uniform-sphere-row", "csv", "exact", "mc"]))
+SCALARS = st.none() | st.integers(-2, 16) | st.floats() | TEXT
+
+
+@pytest.mark.parametrize("argv,keys", [(["gen"], GEN_KEYS),
+                                       (["rip", "--sparsity", "1"], RIP_KEYS)],
+                         ids=["gen", "rip"])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_exits_with_documented_code(tmp_path, monkeypatch, argv, keys,
+                                               data):
+    # mostly flag names, so that most configs get past the unknown-key check
+    key = st.sampled_from([*keys, None]).flatmap(lambda k: TEXT if k is None else st.just(k))
+    value = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(key, inner, max_size=3), max_leaves=6)
+    config = {**BASE_CONFIG, **data.draw(st.dictionaries(key, value, max_size=2))}
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(cfg)]) in (0, 1, 2, 3)

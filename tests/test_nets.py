@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from riplab._util import philox
 from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
                            UnsupportedAmbientError)
-from riplab.geometry import BallDescriptor, sample_sparse_ball
+from riplab.geometry import BallDescriptor, sample_sparse_ball, top_m_l2
 from riplab.nets import (Net, certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
                          hull_membership, min_pairwise_distance, net_from_json,
@@ -254,6 +254,15 @@ def test_gaussian_width_weak_lp_needs_sparsity():
         gaussian_width(BallDescriptor.weak_lp_ball(8, 0.5), 200, seed=0)
     w = gaussian_width(BallDescriptor.weak_lp_ball(8, 0.5, sparsity=2), 2000, seed=0)
     assert w.estimate > 0
+
+
+@pytest.mark.parametrize("m", [3, 8], ids=["m<dim", "m=dim"])
+def test_gaussian_width_weak_lp_matches_per_row_top_m(m):
+    w = gaussian_width(BallDescriptor.weak_lp_ball(8, 0.5, sparsity=m), 500, seed=3)
+    g = philox(3, "gaussian-width").standard_normal((500, 8))
+    sup = np.array([2.0 * top_m_l2(row, m) for row in g])
+    assert w.estimate == pytest.approx(np.mean(sup), rel=1e-14)
+    assert w.std_error == pytest.approx(np.std(sup, ddof=1) / math.sqrt(500), rel=1e-14)
 
 
 def test_width_entropy_regression_bound():
