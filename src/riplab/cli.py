@@ -199,7 +199,7 @@ def cmd_recon(args) -> int:
         rho = rho_from_budget(p, k, args.n, ball.radius)
         return (seed, args.n, k, p, res.error,
                 math.nan if rho is None else rho, int(res.certified),
-                res.residual)
+                math.nan if res.gap is None else res.gap)
 
     work = [(seed, k) for seed in args.seeds for k in args.k_list]
     rows = parallel_map(one, work, threads=args.threads)

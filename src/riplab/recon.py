@@ -1,10 +1,10 @@
 """Approximate sparse reconstruction and random kernel diameters.
 
 l1 minimization under exact equality constraints (enumeration oracle and
-an augmented-Lagrangian iterative solver), kernel-diameter lower bounds
-by nonconvex search with vertex polish, per-instance upper-bound
-certificates built from the net machinery, and the end-to-end recovery
-experiment.
+a primal-dual interior-point solver that stops on a certified duality
+gap), kernel-diameter lower bounds by nonconvex search with vertex
+polish, per-instance upper-bound certificates built from the net
+machinery, and the end-to-end recovery experiment.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
 FEASIBILITY_TOL = 1e-8
+RANK_CUT = 1e-10                 # singular values below RANK_CUT * top are zero
 
 # Sparsity budget k >= c_p * m * log(c1 * n / m), calibrated on seeds
 # [0, 50) at n = 32, k = 16 (Bernoulli, l1 ball) and frozen; test seeds
@@ -46,12 +47,21 @@ class KernelBasis:
         self.basis.setflags(write=False)
 
 
+def _svd_rank(entries: np.ndarray, full_matrices: bool = False):
+    """SVD (u, svals, vt) of entries and its numerical rank under RANK_CUT.
+
+    The first rank rows of vt span the row space; with full_matrices the
+    remaining rows span the kernel.
+    """
+    u, svals, vt = np.linalg.svd(entries, full_matrices=full_matrices)
+    rank = int(np.sum(svals > RANK_CUT * (svals[0] if svals.size else 0.0)))
+    return u, svals, vt, rank
+
+
 def kernel_basis(m: MeasurementMatrix) -> KernelBasis:
-    """Orthonormal kernel basis via SVD; rank cut at 1e-10 of the top value."""
-    _, svals, vt = np.linalg.svd(m.entries, full_matrices=True)
-    rank = int(np.sum(svals > 1e-10 * (svals[0] if svals.size else 0.0)))
-    basis = vt[rank:]
-    return KernelBasis(basis=basis, dim=m.n - rank)
+    """Orthonormal kernel basis via SVD, rank cut at RANK_CUT of the top value."""
+    _, _, vt, rank = _svd_rank(m.entries, full_matrices=True)
+    return KernelBasis(basis=vt[rank:], dim=m.n - rank)
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,8 @@ class ReconResult:
     solver: str
     objective: float             # l1 norm of x_hat
     residual: float              # |G x_hat - b|
-    iterations: int
+    iterations: int              # supports tried (exact) or Newton steps
+    gap: float | None = None     # certified duality gap; None for exact
     t0: np.ndarray | None = None
     error: float | None = None   # |x_hat - t0| when t0 is known
     bound: float | None = None   # certified 2 a rho when available
@@ -75,7 +86,7 @@ class ReconResult:
 
 
 EXACT_SOLVER = "exact-enumeration"
-ITERATIVE_SOLVER = "iterative-proximal"
+ITERATIVE_SOLVER = "primal-dual"
 
 
 def _l1_exact(entries: np.ndarray, b: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
@@ -102,45 +113,136 @@ def _l1_exact(entries: np.ndarray, b: np.ndarray, budget: int) -> tuple[np.ndarr
     return best_x, checked
 
 
-def _l1_iterative(entries: np.ndarray, b: np.ndarray, penalty: float = 1.0,
-                  max_iter: int = 100_000, stall_window: int = 100,
-                  stall_rel: float = 1e-9) -> tuple[np.ndarray, int]:
-    """Augmented-Lagrangian splitting: shrinkage step plus dual ascent.
+# Primal-dual interior point (l1eq_pd of l1-magic, Candes & Romberg 2005):
+# barrier growth factor, backtracking sufficient decrease and step shrink,
+# and the caps on Newton steps and backtracks per step.
+PD_MU, PD_ALPHA, PD_BETA = 10.0, 0.01, 0.5
+PD_MAX_STEPS, PD_MAX_BACKTRACKS = 100, 32
+PD_GAP_REL = 1e-7                # stop once gap <= PD_GAP_REL * max(1, |x|_1)
 
-    The x update projects onto {Gx = b}, so iterates are always feasible.
-    Stops once the objective has stalled for a full window while the
-    splitting consensus |x - z| is resolved; the objective alone plateaus
-    on hard instances long before the duals finish rotating.
+
+def _dual_bound(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
+    """b.y after scaling y into the dual feasible set |a^T y|_inf <= 1."""
+    return float(b @ y) / max(1.0, float(np.max(np.abs(a.T @ y))))
+
+
+def _basis_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first rank(a) columns of a, taken in order, that are independent.
+
+    A column joins when its part orthogonal to the columns already taken
+    (Gram-Schmidt, applied twice) exceeds RANK_CUT; columns of a matrix with
+    orthonormal rows have norm at most 1.
     """
-    n = entries.shape[1]
-    pinv = np.linalg.pinv(entries)
-    offset = pinv @ b
-    x = offset.copy()
-    z = np.zeros(n)
-    u = np.zeros(n)
-    thresh = 1.0 / penalty
-    prev_obj = float(np.sum(np.abs(x)))
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        v = z - u
-        x = v - pinv @ (entries @ v) + offset
-        w = x + u
-        z = np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
-        u += x - z
-        obj = float(np.sum(np.abs(x)))
-        feas = float(np.linalg.norm(entries @ x - b))
-        consensus = float(np.linalg.norm(x - z))
-        if (abs(obj - prev_obj) <= stall_rel * max(1.0, obj)
-                and feas <= FEASIBILITY_TOL
-                and consensus <= 1e-8 * max(1.0, obj)):
-            stall += 1
-            if stall >= stall_window:
+    rank = a.shape[0]
+    q = np.empty((rank, rank))
+    taken = []
+    for j in order:
+        t = len(taken)
+        c = a[:, j] - q[:, :t] @ (q[:, :t].T @ a[:, j])
+        c -= q[:, :t] @ (q[:, :t].T @ c)
+        norm = np.linalg.norm(c)
+        if norm > RANK_CUT:
+            q[:, t] = c / norm
+            taken.append(j)
+            if t + 1 == rank:
                 break
+    return np.array(taken)
+
+
+def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, float, int]:
+    """min |x|_1 s.t. a x = b, for a with orthonormal rows and b != 0.
+
+    Newton steps on the perturbed KKT system of min sum(u) s.t.
+    -u <= x <= u, a x = b; each step solves one r x r SPD system.  Stops
+    when the duality gap certified by y = -v / max(1, |a^T v|_inf) is
+    below PD_GAP_REL relative and |a x - b| <= tol, when backtracking
+    collapses or the Newton matrix is singular, or after PD_MAX_STEPS.
+    A crossover to a vertex follows.  Returns (x, certified gap, Newton
+    steps).
+    """
+    n = a.shape[1]
+    x = a.T @ b
+    u = 0.95 * np.abs(x) + 0.10 * np.max(np.abs(x))
+    f1, f2 = x - u, -x - u
+    lam1, lam2 = -1.0 / f1, -1.0 / f2
+    v = -a @ (lam1 - lam2)
+    atv = a.T @ v
+    rpri = a @ x - b
+    tau = PD_MU * 2 * n / -(f1 @ lam1 + f2 @ lam2)
+
+    def residual_norm(lam1, lam2, f1, f2, atv, rpri, tau):
+        """Norm of the dual, centrality and primal residuals stacked."""
+        parts = (lam1 - lam2 + atv, 1.0 - lam1 - lam2, lam1 * f1 + 1.0 / tau,
+                 lam2 * f2 + 1.0 / tau, rpri)
+        return math.sqrt(sum(float(r @ r) for r in parts))
+
+    resnorm = residual_norm(lam1, lam2, f1, f2, atv, rpri, tau)
+    for steps in range(1, PD_MAX_STEPS + 1):
+        w1 = (1.0 / f1 - 1.0 / f2) / tau - atv
+        w2 = -1.0 - (1.0 / f1 + 1.0 / f2) / tau
+        c1, c2 = -lam1 / f1, -lam2 / f2
+        sig1, sig2 = c1 + c2, c2 - c1
+        # sig1 - sig2^2 / sig1 in a form that does not cancel near the optimum
+        sigx = 4.0 * c1 * c2 / sig1
+        try:
+            dv = np.linalg.solve((a / sigx) @ a.T,
+                                 rpri + a @ ((w1 - w2 * sig2 / sig1) / sigx))
+        except np.linalg.LinAlgError:
+            break                     # Newton matrix singular: keep the last point
+        atdv = a.T @ dv
+        dx = (w1 - w2 * sig2 / sig1 - atdv) / sigx
+        du = (w2 - sig2 * dx) / sig1
+        dlam1 = c1 * (dx - du) - lam1 - 1.0 / (tau * f1)
+        dlam2 = -c2 * (dx + du) - lam2 - 1.0 / (tau * f2)
+        # longest step keeping the multipliers positive and f1, f2 negative
+        s = 1.0
+        for val, dval in ((lam1, dlam1), (lam2, dlam2), (-f1, du - dx), (-f2, du + dx)):
+            neg = dval < 0
+            if np.any(neg):
+                s = min(s, float(np.min(-val[neg] / dval[neg])))
+        s *= 0.99
+        adx = a @ dx
+        for _ in range(PD_MAX_BACKTRACKS):
+            xp, up = x + s * dx, u + s * du
+            f1p, f2p = xp - up, -xp - up
+            lam1p, lam2p = lam1 + s * dlam1, lam2 + s * dlam2
+            atvp, rprip = atv + s * atdv, rpri + s * adx
+            resp = residual_norm(lam1p, lam2p, f1p, f2p, atvp, rprip, tau)
+            if resp <= (1.0 - PD_ALPHA * s) * resnorm:
+                break
+            s *= PD_BETA
         else:
-            stall = 0
-        prev_obj = obj
-    return x, it
+            break                     # backtracking collapsed: keep the last point
+        x, u, f1, f2, lam1, lam2 = xp, up, f1p, f2p, lam1p, lam2p
+        v, atv, rpri = v + s * dv, atvp, rprip
+        tau = PD_MU * 2 * n / -(f1 @ lam1 + f2 @ lam2)
+        resnorm = residual_norm(lam1, lam2, f1, f2, atv, rpri, tau)
+        obj = float(np.sum(np.abs(x)))
+        if (obj - _dual_bound(a, b, -v) <= PD_GAP_REL * max(1.0, obj)
+                and np.linalg.norm(rpri) <= tol):
+            break
+
+    # The residual drifts as it is updated along the steps; project it out
+    # (a has orthonormal rows).  Crossover: the basic solution on the
+    # largest independent coordinates replaces an infeasible or worse
+    # interior point.  The gap is certified by the better of the
+    # interior-point dual and the dual nearest to it with
+    # a_T^T y = sign(x_T) on the nonzeros T of the returned x.
+    x = x - a.T @ (a @ x - b)
+    basis = _basis_columns(a, np.argsort(-np.abs(x), kind="stable"))
+    vertex = np.zeros(n)
+    vertex[basis] = np.linalg.solve(a[:, basis], b)
+    if (np.linalg.norm(a @ vertex - b) <= tol
+            and (np.sum(np.abs(vertex)) < np.sum(np.abs(x))
+                 or np.linalg.norm(a @ x - b) > tol)):
+        x = vertex
+    on = np.abs(x) > RANK_CUT * np.max(np.abs(x))
+    cols = a[:, on]
+    y = -v
+    y_on = y + np.linalg.lstsq(cols.T, np.sign(x[on]) - cols.T @ y, rcond=None)[0]
+    lower = max(_dual_bound(a, b, y), _dual_bound(a, b, y_on))
+    return x, float(np.sum(np.abs(x))) - lower, steps
 
 
 def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
@@ -148,27 +250,37 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
     """argmin |x|_1 subject to G x = b.
 
     mode "exact" enumerates supports of size at most k (an optimal basic
-    solution has at most k nonzeros); mode "iterative" runs the proximal
-    scheme.  b must lie in the column space up to FEASIBILITY_TOL.
+    solution has at most k nonzeros); mode "iterative" runs a primal-dual
+    interior-point method on the row-reduced system V_r x = diag(1/s_r)
+    U_r^T b from the SVD of G and reports the certified duality gap.  b
+    must lie in the column space up to FEASIBILITY_TOL; b = 0 returns 0.
     """
     b = np.asarray(b, dtype=float)
     entries = m.entries
-    lsq, _, _, _ = np.linalg.lstsq(entries, b, rcond=None)
-    if np.linalg.norm(entries @ lsq - b) > FEASIBILITY_TOL:
+    u, svals, vt, rank = _svd_rank(entries)
+    coef = u[:, :rank].T @ b
+    if np.linalg.norm(b - u[:, :rank] @ coef) > FEASIBILITY_TOL:
         raise InfeasibleError("b is not in the column space of the matrix")
+    gap = None
     if mode == "exact":
         x_hat, iters = _l1_exact(entries, b, budget)
         solver = EXACT_SOLVER
     elif mode == "iterative":
-        x_hat, iters = _l1_iterative(entries, b)
         solver = ITERATIVE_SOLVER
+        if np.any(coef):
+            # |G x - U_r U_r^T b| = |diag(s_r) (V_r x - b')| <= s_1 |V_r x - b'|
+            x_hat, gap, iters = _l1_primal_dual(vt[:rank], coef / svals[:rank],
+                                                FEASIBILITY_TOL / svals[0])
+        else:
+            x_hat, gap, iters = np.zeros(m.n), 0.0, 0
     else:
         raise InvalidSpecError(f"unknown solver mode {mode!r}")
     return ReconResult(
         b=b, x_hat=x_hat, solver=solver,
         objective=float(np.sum(np.abs(x_hat))),
         residual=float(np.linalg.norm(entries @ x_hat - b)),
-        iterations=iters, t0=None if t0 is None else np.asarray(t0, dtype=float),
+        iterations=iters, gap=gap,
+        t0=None if t0 is None else np.asarray(t0, dtype=float),
         error=None if t0 is None else float(np.linalg.norm(x_hat - t0)))
 
 
@@ -418,5 +530,5 @@ def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
     return ReconResult(
         b=result.b, x_hat=result.x_hat, solver=result.solver,
         objective=result.objective, residual=result.residual,
-        iterations=result.iterations, t0=t0, error=result.error,
+        iterations=result.iterations, gap=result.gap, t0=t0, error=result.error,
         bound=bound, certified=certified)

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import riplab
 from riplab.cli import main
 from riplab.ensembles import matrix_from_binary, matrix_from_csv
 
@@ -128,6 +134,26 @@ def test_recon_sweep_rows_and_zero_handling(tmp_path):
         fields = line.split(",")
         assert float(fields[4]) >= 0.0
         assert float(fields[7]) <= 1e-8
+
+
+def test_recon_solver_tol_is_certified_gap(tmp_path):
+    out = tmp_path / "recon.csv"
+    for ball in (["--ball", "l1"], ["--ball", "weak-lp", "--p", 0.5]):
+        assert run(["recon", "--kind", "bernoulli", "--n", 32, *ball,
+                    "--t0-model", "weak-lp-extremal", "--seeds", "0:4",
+                    "--k-list", "8,16", "--out", out]) == 0
+        for line in out.read_text().strip().splitlines()[1:]:
+            gap = float(line.split(",")[7])
+            assert math.isfinite(gap) and -1e-12 <= gap <= 1e-6
+
+
+def test_import_does_not_load_scipy():
+    # the package depends on numpy alone; scipy is a test-only dependency
+    code = "import sys, riplab; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(riplab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_recon_threads_byte_identical(tmp_path):

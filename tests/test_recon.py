@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from riplab._util import philox
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate
@@ -124,6 +125,60 @@ def test_l1_iterative_matches_exact_sample():
         iterative = l1_minimize(mat, b, mode="iterative")
         worst = max(worst, abs(exact.objective - iterative.objective))
     assert worst <= 1e-6
+
+
+def highs_l1_optimum(entries, b):
+    """min |x|_1 s.t. G x = b as an LP over x = x+ - x-, solved by HiGHS."""
+    n = entries.shape[1]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([entries, -entries]), b_eq=b,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("seed", range(50, 56))
+def test_primal_dual_certified_against_highs(seed):
+    # criterion 9's instances: n=256 Bernoulli, weak-lp-extremal signals
+    for p in (1.0, 0.5):
+        ball = (BallDescriptor.l1_ball(256) if p == 1.0
+                else BallDescriptor.weak_lp_ball(256, p))
+        t0 = draw_signal(ball, "weak-lp-extremal", seed)
+        for k in (8, 16, 32):
+            mat = generate(EnsembleSpec("bernoulli", n=256, k=k, seed=seed))
+            b = mat.entries @ t0
+            res = l1_minimize(mat, b)
+            opt = highs_l1_optimum(mat.entries, b)
+            assert abs(res.objective - opt) <= 1e-7 * opt
+            assert np.linalg.norm(mat.entries @ res.x_hat - b) <= 1e-8
+            # the gap is a certificate: objective - gap is a dual lower bound
+            assert res.gap >= -1e-12
+            assert res.objective - res.gap <= opt + 1e-9 * res.objective
+
+
+def test_primal_dual_rank_deficient_bernoulli():
+    # criterion 10's instance i=81: a 6 x 9 Bernoulli matrix of rank 5
+    rng = philox(1081, "acc10")
+    n, k = int(rng.integers(8, 13)), int(rng.integers(4, 7))
+    mat = generate(EnsembleSpec("bernoulli", n=n, k=k, seed=2081))
+    assert (n, k) == (9, 6) and kernel_basis(mat).dim == n - 5
+    s = int(rng.integers(1, 3))
+    t0 = np.zeros(n)
+    t0[rng.choice(n, s, replace=False)] = rng.standard_normal(s)
+    b = mat.entries @ t0
+    exact = l1_minimize(mat, b, mode="exact")
+    res = l1_minimize(mat, b)
+    assert abs(res.objective - exact.objective) <= 1e-6
+    assert res.residual <= 1e-8
+    assert exact.gap is None and res.solver == "primal-dual"
+
+
+def test_primal_dual_deterministic():
+    mat = generate(EnsembleSpec("bernoulli", n=64, k=16, seed=3))
+    b = mat.entries @ draw_signal(BallDescriptor.weak_lp_ball(64, 0.5),
+                                  "weak-lp-extremal", 3)
+    first, second = l1_minimize(mat, b), l1_minimize(mat, b)
+    assert first.x_hat.tobytes() == second.x_hat.tobytes()
+    assert (first.gap, first.iterations) == (second.gap, second.iterations)
 
 
 def test_kernel_diameter_lower_planted_vector():
