@@ -19,7 +19,8 @@ from .errors import BudgetError, InvalidSpecError, RiplabError
 from .geometry import BallDescriptor
 from .nets import (Net, certify_cover, cover_check, difference_set_net,
                    greedy_separated_net, min_pairwise_distance, net_from_json,
-                   net_to_json, sparse_set_net, volumetric_bound)
+                   net_to_json, sparse_net_bound, sparse_set_net,
+                   volumetric_bound)
 from .recon import recon_experiment, rho_from_budget
 from .spectral import check_uup, rip_exact, rip_monte_carlo
 
@@ -249,12 +250,11 @@ def cmd_nets(args) -> int:
     elif kind == "sparse":
         net = sparse_set_net(args.n, args.m, eps, ambient, args.seed,
                              budget=args.budget, stall_limit=args.stall_limit)
-        bound = math.comb(args.n, args.m) * (5.0 / eps) ** args.m
+        bound = sparse_net_bound(args.n, args.m, eps)
     else:
         net = difference_set_net(args.n, args.m, args.radius, args.seed,
                                  budget=args.budget)
-        m2 = min(2 * args.m, args.n)
-        bound = math.comb(args.n, m2) * 10.0 ** m2
+        bound = sparse_net_bound(args.n, min(2 * args.m, args.n), 0.5)
     net = certify_cover(net, args.probes, args.seed)
     atomic_write_text(args.out, net_to_json(net))
     if args.table:

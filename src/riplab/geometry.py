@@ -2,8 +2,12 @@
 
 Membership tests, non-increasing rearrangements, the duality bound that
 places weak-lp caps inside blown-up sparse hulls, sphere truncation, and
-quasi-convexity arithmetic.  Also owns the ambient-set samplers used by
-the net and reconstruction modules.
+quasi-convexity arithmetic.  Also owns the samplers that the net and
+reconstruction modules draw from, all batched, one point per row:
+``sample_ambient_batch`` (uniform on l2, l1, sparse-sphere and sparse-ball
+bodies), ``sample_weak_lp_ball`` (weak-lp envelope draws, not uniform) and
+``sample_unit_cap`` (an l1 or weak-lp ball cut by B_2 through rejection,
+not uniform).
 """
 
 from __future__ import annotations
@@ -135,16 +139,21 @@ def member(x: np.ndarray, ball: BallDescriptor, atol: float = DEFAULT_ATOL) -> b
     if fam == "lp":
         return bool(np.sum(np.abs(x) ** ball.p) ** (1.0 / ball.p) <= rad + atol)
     if fam == "weak-lp":
-        # the all-thresholds definition reduces to the n sorted positions
-        star = rearrange(x).values
-        envelope = rad * np.arange(1, ball.dim + 1) ** (-1.0 / ball.p)
-        return bool(np.all(star <= envelope + atol))
+        return bool(_in_weak_lp(x, ball, atol))
     if fam == "sparse-sphere":
         return (support_size(x) <= ball.sparsity
                 and abs(np.linalg.norm(x) - rad) <= max(atol, 1e-9))
     if fam == "sparse-ball":
         return support_size(x) <= ball.sparsity and bool(np.linalg.norm(x) <= rad + atol)
     raise InvalidSpecError(fam)  # pragma: no cover
+
+
+def _in_weak_lp(x: np.ndarray, ball: BallDescriptor, atol: float) -> np.ndarray:
+    """Weak-lp membership of each row of x (the last axis is the vector)."""
+    # the all-thresholds definition reduces to the n sorted positions
+    star = -np.sort(-np.abs(x), axis=-1)
+    envelope = ball.radius * np.arange(1, ball.dim + 1) ** (-1.0 / ball.p)
+    return np.all(star <= envelope + atol, axis=-1)
 
 
 def top_m_l2(x: np.ndarray, m: int) -> float:
@@ -168,90 +177,13 @@ def weak_lp_cap_radius(p: float, m: int) -> float:
 # samplers
 
 
-def sample_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal(dim)
-    return g / np.linalg.norm(g)
-
-
-def sample_ball(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:
-    return sample_sphere(rng, dim) * (radius * rng.uniform() ** (1.0 / dim))
-
-
-def sample_l1_ball(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:
-    """Uniform in the l1 ball: Dirichlet magnitudes, random signs, radial power."""
-    e = rng.standard_exponential(dim)
-    mags = e / e.sum()
-    signs = rng.integers(0, 2, dim) * 2.0 - 1.0
-    return signs * mags * (radius * rng.uniform() ** (1.0 / dim))
-
-
-def sample_sparse_support(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    return np.sort(rng.choice(n, size=m, replace=False))
-
-
-def sample_sparse_sphere(rng: np.random.Generator, n: int, m: int,
-                         radius: float = 1.0) -> np.ndarray:
-    x = np.zeros(n)
-    x[sample_sparse_support(rng, n, m)] = sample_sphere(rng, m) * radius
-    return x
-
-
-def sample_sparse_ball(rng: np.random.Generator, n: int, m: int,
-                       radius: float = 1.0) -> np.ndarray:
-    x = np.zeros(n)
-    x[sample_sparse_support(rng, n, m)] = sample_ball(rng, m, radius)
-    return x
-
-
-def sample_weak_lp_ball(rng: np.random.Generator, n: int, p: float,
-                        radius: float = 1.0) -> np.ndarray:
-    """Point of the weak-lp ball: scaled envelope magnitudes, permuted, signed.
-
-    Membership is guaranteed: magnitudes are dominated pointwise by the
-    non-increasing envelope, so their sorted version is too.
-    """
-    envelope = radius * np.arange(1, n + 1) ** (-1.0 / p)
-    mags = rng.uniform(0.0, 1.0, n) * envelope
-    signs = rng.integers(0, 2, n) * 2.0 - 1.0
-    x = signs * mags
-    return x[rng.permutation(n)]
-
-
-_cap_sampler_stats = {"draws": 0, "accepted": 0}
-
-
-def cap_sampler_acceptance() -> float:
-    """Observed acceptance rate of the weak-lp cap rejection sampler."""
-    d = _cap_sampler_stats["draws"]
-    return _cap_sampler_stats["accepted"] / d if d else math.nan
-
-
-def sample_weak_lp_cap(rng: np.random.Generator, n: int, p: float, r: float,
-                       max_tries: int = 50) -> np.ndarray:
-    """Point of r*B_{p,inf} intersected with the unit Euclidean ball.
-
-    Envelope draws rejected against |x| <= 1; if rejection stalls the draw
-    is scaled onto the Euclidean sphere, which preserves both memberships.
-    Not uniform; used for coverage, not for integration.  The running
-    acceptance rate is tracked (``cap_sampler_acceptance``) and logged
-    when the scaling fallback fires.
-    """
-    for _ in range(max_tries):
-        _cap_sampler_stats["draws"] += 1
-        x = sample_weak_lp_ball(rng, n, p, r)
-        nrm = np.linalg.norm(x)
-        if nrm <= 1.0:
-            _cap_sampler_stats["accepted"] += 1
-            return x
-    logging.getLogger(__name__).debug(
-        "cap sampler fell back to scaling after %d tries (acceptance %.3f)",
-        max_tries, cap_sampler_acceptance())
-    return x / nrm
+# rejection draws per row in sample_unit_cap before scaling onto the sphere
+CAP_TRIES = 50
 
 
 def sample_ambient_batch(rng: np.random.Generator, ball: BallDescriptor,
                          count: int) -> np.ndarray:
-    """Uniform samples from a descriptor, vectorized; raises when undefined."""
+    """Uniform samples from a descriptor, one per row; raises when undefined."""
     fam, dim, rad = ball.family, ball.dim, ball.radius
     if fam in ("l2", "sparse-sphere", "sparse-ball"):
         sphere_like = fam == "sparse-sphere"
@@ -268,16 +200,60 @@ def sample_ambient_batch(rng: np.random.Generator, ball: BallDescriptor,
         np.put_along_axis(out, supports, g, axis=1)
         return out
     if fam == "l1":
+        # Dirichlet magnitudes, random signs, radial power.  float_power keeps
+        # pinned draws: it rounds as scalar pow does, and array ** does not always.
         e = rng.standard_exponential((count, dim))
         mags = e / e.sum(axis=1, keepdims=True)
         signs = rng.integers(0, 2, (count, dim)) * 2.0 - 1.0
-        return signs * mags * (rad * rng.uniform(size=(count, 1)) ** (1.0 / dim))
+        radial = np.float_power(rng.uniform(size=(count, 1)), 1.0 / dim)
+        return signs * mags * (rad * radial)
     raise UnsupportedAmbientError(f"no uniform sampler for family {fam!r}")
 
 
-def sample_ambient(rng: np.random.Generator, ball: BallDescriptor) -> np.ndarray:
-    """Single uniform-ish sample from a descriptor."""
-    return sample_ambient_batch(rng, ball, 1)[0]
+def sample_weak_lp_ball(rng: np.random.Generator, ball: BallDescriptor,
+                        count: int) -> np.ndarray:
+    """Points of a weak-lp ball, one per row: envelope-scaled, signed, permuted.
+
+    Not uniform.  Membership is guaranteed: magnitudes are dominated
+    pointwise by the non-increasing envelope, so their sorted version is too.
+    """
+    if ball.family != "weak-lp":
+        raise InvalidSpecError(f"expected a weak-lp ball, got {ball.family!r}")
+    envelope = ball.radius * np.arange(1, ball.dim + 1) ** (-1.0 / ball.p)
+    mags = rng.uniform(0.0, 1.0, (count, ball.dim)) * envelope
+    signs = rng.integers(0, 2, (count, ball.dim)) * 2.0 - 1.0
+    return rng.permuted(signs * mags, axis=1)
+
+
+def sample_unit_cap(rng: np.random.Generator, ball: BallDescriptor,
+                    count: int) -> np.ndarray:
+    """Points of an l1 or weak-lp ball intersected with B_2, one per row.
+
+    Each row is redrawn from the ball until it lands in the unit Euclidean
+    ball, at most CAP_TRIES draws; a row still outside is scaled onto the
+    sphere, which preserves both memberships.  Not uniform; used for
+    coverage, not for integration.
+    """
+    if ball.family not in ("l1", "weak-lp"):
+        raise InvalidSpecError(f"no cap sampler for family {ball.family!r}")
+    draw = sample_ambient_batch if ball.family == "l1" else sample_weak_lp_ball
+    out = np.empty((count, ball.dim))
+    nrm = np.empty(count)
+    outside = np.arange(count)
+    for _ in range(CAP_TRIES):
+        rows = draw(rng, ball, outside.size)
+        out[outside] = rows
+        # row norms as dot products, equal bit for bit to np.linalg.norm of
+        # one row; norm(axis=1) sums in another order
+        nrm[outside] = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+        outside = outside[nrm[outside] > 1.0]
+        if outside.size == 0:
+            break
+    out[outside] /= nrm[outside, None]
+    logging.getLogger(__name__).debug(
+        "cap sampler scaled %d of %d rows onto the sphere after %d tries",
+        outside.size, count, CAP_TRIES)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +267,15 @@ class DualBoundCheck:
     probes_used: int
 
 
-def _aligned_candidate(x: np.ndarray, envelope: np.ndarray, threshold: float) -> np.ndarray:
-    """Extremal candidate min(envelope, t) aligned with x's order and signs."""
-    mags = np.minimum(envelope, threshold)
-    nrm = np.linalg.norm(mags)
-    if nrm > 1.0:
-        mags = mags / nrm
+def _aligned_candidates(x: np.ndarray, envelope: np.ndarray,
+                        thresholds: np.ndarray) -> np.ndarray:
+    """Extremal candidates min(envelope, t), one row per threshold t, aligned
+    with x's order and signs and scaled into B_2."""
+    mags = np.minimum(envelope, thresholds[:, None])
+    mags /= np.maximum(np.linalg.norm(mags, axis=1, keepdims=True), 1.0)
     order = rearrange(x).permutation
-    z = np.zeros_like(x)
-    signs = np.where(x[order] < 0, -1.0, 1.0)
-    z[order] = signs * mags
+    z = np.zeros((thresholds.size, x.size))
+    z[:, order] = np.where(x[order] < 0, -1.0, 1.0) * mags
     return z
 
 
@@ -323,33 +298,29 @@ def weak_lp_dual_bound_check(x: np.ndarray, p: float, m: int, probes: int,
         return DualBoundCheck(max_ratio=0.0, pass_=True, probes_used=probes)
     r = weak_lp_cap_radius(p, m)
     envelope = r * np.arange(1, n + 1) ** (-1.0 / p)
-    rng = philox(seed, "dual-bound")
-    best = 0.0
-    for _ in range(probes):
-        z = sample_weak_lp_cap(rng, n, p, r)
-        best = max(best, abs(float(x @ z)))
+    probed = sample_unit_cap(philox(seed, "dual-bound"),
+                             BallDescriptor.weak_lp_ball(n, p, radius=r), probes)
     thresholds = np.geomspace(envelope[-1], envelope[0], 64)
-    for t in thresholds:
-        z = _aligned_candidate(x, envelope, float(t))
-        best = max(best, abs(float(x @ z)))
-    ratio = best / denom
+    z = np.vstack([probed, _aligned_candidates(x, envelope, thresholds)])
+    ratio = float(np.max(np.abs(z @ x))) / denom
     return DualBoundCheck(max_ratio=ratio, pass_=ratio <= 1.0 + 1e-10,
                           probes_used=probes)
 
 
-def block_norm_witness(z: np.ndarray, m: int) -> float:
+def block_norm_witness(z: np.ndarray, m: int) -> float | np.ndarray:
     """Sum of Euclidean norms over magnitude-sorted blocks of size m.
 
     A value <= 2 certifies z in 2 conv(sparse ball of sparsity m): each
     block normalizes to a unit m-sparse vector and the coefficients sum
-    to at most 2.
+    to at most 2.  A float for one vector, one sum per row for a batch.
     """
-    star = rearrange(z).values
-    pad = (-star.size) % m
+    star = -np.sort(-np.abs(z), axis=-1)
+    pad = (-star.shape[-1]) % m
     if pad:
-        star = np.concatenate([star, np.zeros(pad)])
-    blocks = star.reshape(-1, m)
-    return float(np.sum(np.sqrt(np.sum(blocks * blocks, axis=1))))
+        star = np.concatenate([star, np.zeros(star.shape[:-1] + (pad,))], axis=-1)
+    blocks = star.reshape(star.shape[:-1] + (-1, m))
+    sums = np.sum(np.sqrt(np.sum(blocks * blocks, axis=-1)), axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 @dataclass(frozen=True)
@@ -373,20 +344,12 @@ def hull_inclusion_check(which: str, n: int, m: int, probes: int, seed: int,
         raise InvalidSpecError("weak-lp inclusion needs 0 < p < 1")
     if not (1 <= m <= n):
         raise InvalidSpecError("need 1 <= m <= n")
-    rng = philox(seed, "hull-inclusion", which)
-    worst = 0.0
-    for _ in range(probes):
-        if which == "weak-lp":
-            z = sample_weak_lp_cap(rng, n, p, weak_lp_cap_radius(p, m))
-        else:
-            for _ in range(50):
-                z = sample_l1_ball(rng, n, math.sqrt(m))
-                nrm = np.linalg.norm(z)
-                if nrm <= 1.0:
-                    break
-            else:
-                z = z / nrm
-        worst = max(worst, block_norm_witness(z, m))
+    if which == "weak-lp":
+        ball = BallDescriptor.weak_lp_ball(n, p, radius=weak_lp_cap_radius(p, m))
+    else:
+        ball = BallDescriptor.l1_ball(n, radius=math.sqrt(m))
+    z = sample_unit_cap(philox(seed, "hull-inclusion", which), ball, probes)
+    worst = float(np.max(block_norm_witness(z, m), initial=0.0))
     return HullInclusionCheck(pass_=worst <= 2.0 + 1e-10, max_block_sum=worst,
                               probes_used=probes)
 
@@ -451,12 +414,9 @@ def quasiconvexity_constant_check(p: float, trials: int, n: int, seed: int) -> b
     rng = philox(seed, "quasiconvex")
     ball = BallDescriptor.weak_lp_ball(n, p)
     scale = 2.0 ** (1.0 + 1.0 / p)
-    for _ in range(trials):
-        x = sample_weak_lp_ball(rng, n, p)
-        y = sample_weak_lp_ball(rng, n, p)
-        if not member((x + y) / scale, ball, atol=1e-9):
-            return False
-    return True
+    x = sample_weak_lp_ball(rng, ball, trials)
+    y = sample_weak_lp_ball(rng, ball, trials)
+    return bool(np.all(_in_weak_lp((x + y) / scale, ball, atol=1e-9)))
 
 
 def required_hull_sparsity(p: float, m: int, eps: float) -> int:
@@ -473,8 +433,3 @@ def required_hull_sparsity(p: float, m: int, eps: float) -> int:
     assert (2.0 ** (1.0 + 1.0 / p) * m ** expo / eps
             <= (1.0 / p - 1.0) * m1 ** expo * (1 + 1e-12))
     return m1
-
-
-def compute_m1(p: float, m: int) -> int:
-    """The fixed eps = 1/10 instance used by the reconstruction pipeline."""
-    return required_hull_sparsity(p, m, 0.1)

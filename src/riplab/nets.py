@@ -231,6 +231,11 @@ def certify_cover(net: Net, probes: int, seed: int) -> Net:
                    probes_used=net.probes_used + probes)
 
 
+def sparse_net_bound(n: int, m: int, epsilon: float) -> float:
+    """Size bound C(n, m) * (5/eps)^m on a union of per-support eps-nets."""
+    return math.comb(n, m) * (5.0 / epsilon) ** m
+
+
 def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,
                    budget: float = 2e6, stall_limit: int | None = None) -> Net:
     """Union over all size-m supports of one dim-m net embedded on each support.
@@ -243,13 +248,12 @@ def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,
         raise InvalidSpecError("need 1 <= m <= n")
     if target not in ("sphere", "ball"):
         raise InvalidSpecError("target must be 'sphere' or 'ball'")
-    n_supports = math.comb(n, m)
-    bound = n_supports * (5.0 / epsilon) ** m
+    bound = sparse_net_bound(n, m, epsilon)
     if bound > budget:
         raise BudgetError(
             f"C({n},{m}) * (5/eps)^{m} = {bound:.3g} exceeds budget {budget:.3g}")
     base = greedy_separated_net(m, epsilon, target, seed, stall_limit=stall_limit)
-    count = len(base) * n_supports
+    count = len(base) * math.comb(n, m)
     points = np.zeros((count, n))
     row = 0
     for support in itertools.combinations(range(n), m):

@@ -19,7 +19,7 @@ from ._util import philox
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate, row_normalize
 from .errors import BudgetError, InfeasibleError, InvalidSpecError
 from .geometry import (BallDescriptor, member, rearrange, required_hull_sparsity,
-                       sample_l1_ball, sample_weak_lp_ball)
+                       sample_ambient_batch, sample_weak_lp_ball)
 from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
@@ -288,27 +288,19 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
 # kernel diameter, lower bound by search
 
 
-def _gauge(z: np.ndarray, ball: BallDescriptor) -> float:
-    """Minkowski gauge of z for the supported star bodies."""
+def _gauge(z: np.ndarray, ball: BallDescriptor) -> tuple[float, np.ndarray]:
+    """Minkowski gauge of z for the supported star bodies, and a subgradient."""
     if ball.family == "l1":
-        return float(np.sum(np.abs(z))) / ball.radius
+        return float(np.sum(np.abs(z))) / ball.radius, np.sign(z) / ball.radius
     if ball.family == "weak-lp":
-        star = rearrange(z).values
+        re = rearrange(z)
         scale = np.arange(1, z.size + 1) ** (1.0 / ball.p)
-        return float(np.max(star * scale)) / ball.radius
+        top = int(np.argmax(re.values * scale))
+        j = int(re.permutation[top])
+        g = np.zeros_like(z)
+        g[j] = math.copysign(scale[top], z[j]) / ball.radius
+        return float(re.values[top] * scale[top]) / ball.radius, g
     raise InvalidSpecError(f"unsupported ball family {ball.family!r}")
-
-
-def _gauge_subgradient(z: np.ndarray, ball: BallDescriptor) -> np.ndarray:
-    if ball.family == "l1":
-        return np.sign(z) / ball.radius
-    re = rearrange(z)
-    scale = np.arange(1, z.size + 1) ** (1.0 / ball.p)
-    top = int(np.argmax(re.values * scale))
-    j = int(re.permutation[top])
-    g = np.zeros_like(z)
-    g[j] = math.copysign(scale[top], z[j]) / ball.radius
-    return g
 
 
 def _l1_vertex_polish(entries: np.ndarray, z: np.ndarray, rank: int,
@@ -353,11 +345,11 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
         c /= np.linalg.norm(c)
         for t in range(iters):
             z = c @ v
-            g = _gauge(z, ball)
+            g, sub = _gauge(z, ball)
             if 1.0 / g > best:
                 best = 1.0 / g
                 best_z = z / g
-            grad = v @ _gauge_subgradient(z, ball)
+            grad = v @ sub
             gn = np.linalg.norm(grad)
             if gn == 0.0:
                 break
@@ -482,17 +474,16 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
         t0 = np.zeros(n)
         supp = rng.choice(n, size=sparsity, replace=False)
         t0[supp] = rng.standard_normal(sparsity)
-        return t0 / _gauge(t0, ball)
+        return t0 / _gauge(t0, ball)[0]
     if model == "weak-lp-extremal":
         p = 1.0 if ball.family == "l1" else ball.p
         mags = np.arange(1, n + 1) ** (-1.0 / p)
         signs = rng.integers(0, 2, n) * 2.0 - 1.0
         t0 = (signs * mags)[rng.permutation(n)]
-        return t0 / _gauge(t0, ball)
+        return t0 / _gauge(t0, ball)[0]
     if model == "random-ball":
-        if ball.family == "l1":
-            return sample_l1_ball(rng, n, ball.radius)
-        return sample_weak_lp_ball(rng, n, ball.p, ball.radius)
+        draw = sample_ambient_batch if ball.family == "l1" else sample_weak_lp_ball
+        return draw(rng, ball, 1)[0]
     raise InvalidSpecError(f"unknown signal model {model!r}")
 
 

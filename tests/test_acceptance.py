@@ -19,8 +19,8 @@ from riplab._util import parallel_map, philox
 from riplab.concentration import _squared_images
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate
 from riplab.errors import BudgetError
-from riplab.geometry import (BallDescriptor, block_norm_witness, sample_l1_ball,
-                             sample_weak_lp_cap, truncation_cover_point,
+from riplab.geometry import (BallDescriptor, block_norm_witness, sample_ambient_batch,
+                             sample_unit_cap, truncation_cover_point,
                              truncation_error_bound, weak_lp_cap_radius)
 from riplab.nets import (certify_cover, greedy_separated_net, hull_decompose,
                          hull_membership, sparse_set_net)
@@ -237,15 +237,16 @@ def test_criterion_7_hull_inclusions():
     start = time.perf_counter()
     n, m, p = 12, 3, 0.5
     probes = 100_000
-    r = weak_lp_cap_radius(p, m)
+    cap = BallDescriptor.weak_lp_ball(n, p, radius=weak_lp_cap_radius(p, m))
     worst = 0.0
     rng = philox(7, "acc7-weak")
     for _ in range(probes):
-        worst = max(worst, block_norm_witness(sample_weak_lp_cap(rng, n, p, r), m))
+        worst = max(worst, block_norm_witness(sample_unit_cap(rng, cap, 1)[0], m))
     rng = philox(7, "acc7-l1")
+    l1 = BallDescriptor.l1_ball(n, math.sqrt(m))
     for _ in range(probes):
         for _ in range(50):
-            z = sample_l1_ball(rng, n, math.sqrt(m))
+            z = sample_ambient_batch(rng, l1, 1)[0]
             nrm = np.linalg.norm(z)
             if nrm <= 1.0:
                 break
@@ -257,8 +258,9 @@ def test_criterion_7_hull_inclusions():
     net = sparse_set_net(n6, m6, 0.5, "ball", seed=77, stall_limit=20_000)
     rng = philox(7, "acc7-fw")
     fw_ok = True
+    cap6 = BallDescriptor.weak_lp_ball(n6, p, radius=weak_lp_cap_radius(p, m6))
     for _ in range(40):
-        z = sample_weak_lp_cap(rng, n6, p, weak_lp_cap_radius(p, m6))
+        z = sample_unit_cap(rng, cap6, 1)[0]
         res = linprog(c=np.zeros(len(net)),
                       A_eq=np.vstack([net.points.T * 2.0, np.ones(len(net))]),
                       b_eq=np.concatenate([z, [1.0]]),

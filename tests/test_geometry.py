@@ -6,12 +6,11 @@ import pytest
 
 from riplab._util import philox
 from riplab.errors import InvalidSpecError, UnsupportedAmbientError
-from riplab.geometry import (BallDescriptor, block_norm_witness, compute_m1,
+from riplab.geometry import (BallDescriptor, block_norm_witness,
                              hull_inclusion_check, member,
                              quasiconvexity_constant_check, rearrange,
                              required_hull_sparsity, sample_ambient_batch,
-                             sample_l1_ball, sample_weak_lp_ball,
-                             sample_weak_lp_cap, top_m_l2,
+                             sample_unit_cap, sample_weak_lp_ball, top_m_l2,
                              truncation_cover_point, truncation_error_bound,
                              weak_lp_cap_radius, weak_lp_dual_bound_check)
 
@@ -113,6 +112,10 @@ def test_block_witness_values():
     assert block_norm_witness(z, 2) == pytest.approx(np.linalg.norm(z[:2]))
     flat = np.ones(9) / 3.0           # in sqrt(9) B1 cap B2
     assert block_norm_witness(flat, 9) == pytest.approx(1.0)
+    # a batch gives each row's one-vector value, bit for bit
+    rows = philox(11, "witness-rows").standard_normal((40, 7))
+    for m in (1, 3, 7):
+        assert block_norm_witness(rows, m).tolist() == [block_norm_witness(z, m) for z in rows]
 
 
 @pytest.mark.parametrize("which,p", [("weak-lp", 0.5), ("l1", None)])
@@ -167,7 +170,7 @@ def test_compute_m1_guarantee_and_monotonicity():
     for p in (0.3, 0.5, 0.75):
         prev = 0
         for m in (1, 2, 3, 5, 8):
-            m1 = compute_m1(p, m)
+            m1 = required_hull_sparsity(p, m, 0.1)
             assert m1 >= m
             expo = 1.0 / p - 0.5
             assert (10.0 * 2.0 ** (1.0 + 1.0 / p) * m ** expo
@@ -183,18 +186,26 @@ def test_required_hull_sparsity_scales_with_eps():
 def test_weak_lp_samplers_stay_inside():
     rng = philox(8, "samplers")
     ball = BallDescriptor.weak_lp_ball(16, 0.5)
-    r = weak_lp_cap_radius(0.5, 2)
-    for _ in range(200):
-        assert member(sample_weak_lp_ball(rng, 16, 0.5), ball, atol=1e-9)
-        z = sample_weak_lp_cap(rng, 16, 0.5, r)
-        assert np.linalg.norm(z) <= 1.0 + 1e-9
-        assert member(z, BallDescriptor.weak_lp_ball(16, 0.5, radius=r), atol=1e-9)
+    points = sample_weak_lp_ball(rng, ball, 200)
+    assert points.shape == (200, 16)
+    for x in points:
+        assert member(x, ball, atol=1e-9)
+    for cap in (BallDescriptor.weak_lp_ball(16, 0.5, radius=weak_lp_cap_radius(0.5, 2)),
+                BallDescriptor.l1_ball(16, radius=math.sqrt(2))):
+        points = sample_unit_cap(rng, cap, 200)
+        assert points.shape == (200, 16)
+        for z in points:
+            assert np.linalg.norm(z) <= 1.0 + 1e-9
+            assert member(z, cap, atol=1e-9)
+    with pytest.raises(InvalidSpecError):
+        sample_unit_cap(rng, BallDescriptor.euclidean_ball(4), 1)
 
 
 def test_l1_sampler_and_batch_ambients():
     rng = philox(9, "ambients")
-    for _ in range(100):
-        assert np.sum(np.abs(sample_l1_ball(rng, 6, 2.0))) <= 2.0 + 1e-12
+    pts = sample_ambient_batch(rng, BallDescriptor.l1_ball(6, 2.0), 100)
+    assert pts.shape == (100, 6)
+    assert np.all(np.sum(np.abs(pts), axis=1) <= 2.0 + 1e-12)
     pts = sample_ambient_batch(rng, BallDescriptor.sparse_sphere(10, 3), 50)
     assert pts.shape == (50, 10)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)

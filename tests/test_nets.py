@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from riplab._util import philox
 from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
                            UnsupportedAmbientError)
-from riplab.geometry import BallDescriptor, sample_sparse_ball, top_m_l2
+from riplab.geometry import BallDescriptor, sample_ambient_batch, top_m_l2
 from riplab.nets import (Net, certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
                          hull_membership, min_pairwise_distance, net_from_json,
@@ -209,8 +209,7 @@ def test_hull_membership_sparse_ball_double_hull():
     n, m = 6, 2
     net = sparse_set_net(n, m, 0.5, "ball", seed=15, stall_limit=20000)
     rng = philox(16, "hull-probes")
-    for _ in range(10):
-        z = sample_sparse_ball(rng, n, m)
+    for z in sample_ambient_batch(rng, BallDescriptor.sparse_ball(n, m), 10):
         fw = hull_membership(z, net.points, blowup=2.0)
         assert fw.member is True
         assert lp_hull_member(z, net.points, 2.0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -267,6 +268,26 @@ def test_draw_signal_stays_in_ball(model, ball):
         t0 = draw_signal(ball, model, seed, sparsity=2)
         assert member(t0, ball, atol=1e-9)
         assert np.any(t0)
+
+
+# sha256 of the f64 bytes of draw_signal(ball, "random-ball", seed) for
+# seeds 0..9, concatenated: pins the l1 and weak-lp bulk samplers bit for bit.
+RANDOM_BALL_SHA256 = {
+    ("l1", 16): "55e675823d2e1779e518d41d990c7da030bfadb99a93798ef739dc71a6469fc6",
+    ("weak-lp", 16): "30ddca71a9757b134318b1353ba1706a1d3cb0c36390d07ff5a5cf09ec6e8a10",
+    ("l1", 64): "a5aaf26ddc354477f65388c05d0ff7869dbefc985e2504a3ac3d693e255aa019",
+    ("weak-lp", 64): "1fa8feafea162da0698497fde017b347c8e1a41085d071f046dc77f400347177",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(RANDOM_BALL_SHA256))
+def test_draw_signal_random_ball_golden(family, n):
+    ball = (BallDescriptor.l1_ball(n) if family == "l1"
+            else BallDescriptor.weak_lp_ball(n, 0.5))
+    digest = hashlib.sha256()
+    for seed in range(10):
+        digest.update(draw_signal(ball, "random-ball", seed).tobytes())
+    assert digest.hexdigest() == RANDOM_BALL_SHA256[(family, n)]
 
 
 def test_recon_experiment_end_to_end():
