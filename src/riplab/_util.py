@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
+import logging
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +17,11 @@ import numpy as np
 
 U64 = np.uint64
 _U64_MASK = (1 << 64) - 1
+# thread-count controls exported by the OpenBLAS that numpy wheels bundle
+_BLAS_GET = "scipy_openblas_get_num_threads64_"
+_BLAS_SET = "scipy_openblas_set_num_threads64_"
+
+log = logging.getLogger("riplab")
 
 
 def derive_seed(*parts) -> int:
@@ -39,16 +48,64 @@ def philox(*key_parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=U64(derive_seed(*key_parts))))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None without them.
+
+    dlsym on numpy's core extension also searches the libraries it links,
+    so this reaches the OpenBLAS that numpy loaded without knowing its path.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = getattr(lib, _BLAS_GET), getattr(lib, _BLAS_SET)
+    except (AttributeError, OSError) as exc:
+        log.debug("BLAS thread count left alone: %s", exc)
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Cap numpy's OpenBLAS at n threads inside the block, then restore it.
+
+    The count is process-global: it applies to BLAS calls from every thread
+    of the process, and blocks entered from several threads at once would
+    restore each other's settings.  It never raises the count, so a lower
+    OPENBLAS_NUM_THREADS stays in force.  Without the OpenBLAS symbols it
+    does nothing.
+    """
+    ctl = _openblas_threads()
+    if ctl is None:
+        yield
+        return
+    get, set_ = ctl
+    before = get()
+    set_(min(before, max(1, n)))
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Map fn over items, optionally on a thread pool.
 
     Results are returned in item order regardless of completion order, so
     callers relying on order-independent reductions get identical output
-    for every thread count.
+    for every thread count.  While the pool runs, BLAS gets the cores left
+    per worker (at least one thread), so workers times BLAS threads does
+    not oversubscribe the cores.
     """
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity query on this platform
+        cores = os.cpu_count() or 1
+    with blas_threads(cores // workers), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -5,7 +5,9 @@ coordinate-subspace nets for sparse sets, scaled half-covers for
 difference sets, geometric-series hull decompositions, Frank-Wolfe hull
 membership with separating certificates, and Monte-Carlo Gaussian widths.
 
-Separation certificates are exact (full pairwise scan); cover
+Separation certificates are exact: a float32 scan of the upper triangle
+of the pair matrix keeps every pair within a stated rounding-error margin
+of the minimum, and those pairs are recomputed in float64.  Cover
 certificates are statistical (random probes) and carry the probe count.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import philox
+from ._util import blas_threads, philox
 from .errors import BudgetError, CoverViolationError, InvalidSpecError
 from .geometry import BallDescriptor, sample_ambient_batch
 
@@ -49,31 +51,85 @@ def volumetric_bound(dim: int, epsilon: float) -> float:
     return (1.0 + 2.0 / epsilon) ** dim
 
 
+# The float32 distance kernel.  Each net point p is stored once as the
+# column [-2p; |p|^2] and each row c as [c, 1], both rounded to float32, so
+# one matmul gives |p|^2 - 2 c.p for a whole batch; the row term |c|^2 is
+# added in float64 after the row minimum.
+
+_U32 = 2.0 ** -24   # unit roundoff of float32
+
+
+def _kernel_rows(points: np.ndarray) -> np.ndarray:
+    """(count, dim+1) float32 rows [c, 1]."""
+    rows = np.ones((points.shape[0], points.shape[1] + 1), dtype=np.float32)
+    rows[:, :-1] = points
+    return rows
+
+
+def _kernel_cols(points: np.ndarray) -> np.ndarray:
+    """(dim+1, count) float32 columns [-2p; |p|^2]."""
+    cols = np.empty((points.shape[1] + 1, points.shape[0]), dtype=np.float32)
+    cols[:-1] = -2.0 * points.T
+    cols[-1] = np.einsum("ij,ij->i", points, points)
+    return cols
+
+
+def _kernel_error(dim: int) -> float:
+    """Worst-case |kernel - exact| on squared distances of points in B_2.
+
+    With u = 2^-24 and |c|, |p| <= 1, rounding c and p to float32 moves
+    2 c.p by at most (4u + 2u^2) and |p|^2 by at most u(1 + u); the length
+    dim+1 float32 dot product, in any summation order and with or without
+    FMA, adds at most gamma_{dim+1} * (2|c||p| + |p|^2) <= 3 gamma_{dim+1}
+    (1 + u)^2, where gamma_n = n u / (1 - n u).  To first order that is
+    5u + 3 gamma_{dim+1}.  The factor 2 covers the second-order terms, the
+    float64 rounding of |c|^2, of the final sum and of the exact re-check,
+    and float32 underflow (at most 2^-126 per term).  Beyond n u = 1/2 no
+    bound is claimed, so every candidate goes to the exact check.
+    """
+    n = dim + 1
+    if n * _U32 >= 0.5:
+        return math.inf
+    return 2.0 * (5.0 * _U32 + 3.0 * n * _U32 / (1.0 - n * _U32))
+
+
 def min_pairwise_distance(points: np.ndarray, block: int = 2048) -> float:
     """Exact minimum pairwise Euclidean distance.
 
-    A float32 scan locates near-minimal pairs; every pair within a safe
-    relative margin of the float32 minimum is then recomputed in float64,
-    so the returned value is the exact minimum.
+    The points are scaled by a power of two into the unit ball, which is
+    exact, and the float32 distance kernel scans the upper triangle of the
+    pair matrix in row blocks (columns ``j >= lo``).  Every pair whose
+    float32 squared distance lies within twice the kernel's error bound of
+    the running float32 minimum is kept; the minimal pair is always among
+    them.  Those pairs are recomputed in float64 from the given points, so
+    the result is the exact float64 minimum.
     """
-    count = points.shape[0]
+    count, dim = points.shape
     if count < 2:
         return math.inf
-    pts32 = points.astype(np.float32)
-    sq32 = np.sum(pts32 * pts32, axis=1)
-    best32 = np.inf
+    sq = np.einsum("ij,ij->i", points, points)
+    # a power of two scales exactly; the clamp keeps it finite for subnormals
+    scale = 2.0 ** -max(math.frexp(math.sqrt(float(sq.max())))[1], -1000)
+    scaled = points * scale
+    sq = sq * (scale * scale)
+    rows, cols = _kernel_rows(scaled), _kernel_cols(scaled)
+    margin = 2.0 * _kernel_error(dim)
+    best = math.inf
     candidates: list[tuple[int, int]] = []
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        d2 = sq32[lo:hi, None] + sq32[None, :] - 2.0 * pts32[lo:hi] @ pts32.T
-        rows = np.arange(lo, hi)
-        d2[rows - lo, rows] = np.inf
-        best32 = min(best32, float(d2.min()))
-        # generous cutoff: the running best only shrinks, so every block
-        # contributes a superset of the pairs near the final minimum
-        cutoff = best32 * (1.0 + 1e-3) + 1e-5
-        for r, c in zip(*np.nonzero(d2 <= cutoff)):
-            candidates.append((lo + int(r), int(c)))
+        part = rows[lo:hi] @ cols[:, lo:]
+        diag = np.arange(hi - lo)
+        part[diag, diag] = np.inf
+        nearest = np.min(part, axis=1) + sq[lo:hi]
+        best = min(best, float(nearest.min()))
+        # the running best only shrinks, so every block contributes a
+        # superset of the pairs near the final minimum
+        cutoff = best + margin
+        near = np.nonzero(nearest <= cutoff)[0]
+        r, c = np.nonzero(part[near] <= (cutoff - sq[lo + near])[:, None])
+        upper = c > near[r]   # pairs inside the diagonal block appear twice
+        candidates.extend(zip((lo + near[r][upper]).tolist(), (lo + c[upper]).tolist()))
     best = math.inf
     for i, j in candidates:
         best = min(best, float(np.sum((points[i] - points[j]) ** 2)))
@@ -91,32 +147,29 @@ def _ambient_descriptor(kind: str, dim: int) -> BallDescriptor:
 _GREEDY_BATCH = 512   # fixed: the candidate stream layout is part of determinism
 
 
-def _far_candidates(cand32: np.ndarray, pts32: np.ndarray, eps2_lo: float,
+def _far_candidates(cand: np.ndarray, cols: np.ndarray, eps2_lo: float,
                     eps2_hi: float, chunk: int = 4096):
     """Float32 pre-filter: (surviving indices, needs-exact-check flags).
 
-    Candidates whose float32 nearest-distance clears ``eps2_hi`` are safely
-    separated; those landing between the two margins survive but must be
-    re-checked exactly.  Accepted points are scanned in chunks with early
-    candidate elimination.
+    Scans the candidates against the net's kernel columns in float32.  A
+    candidate whose nearest squared distance is at most ``eps2_lo`` is
+    dropped, one above ``eps2_hi`` is separated from every net point, and
+    one in between survives but must be re-checked in float64.  With the
+    margins of ``_kernel_error`` these verdicts equal the exact float64
+    test, so the margins only decide which candidates are re-checked.  Net
+    points are scanned in chunks, and dropped candidates leave the scan
+    early.
     """
-    count = cand32.shape[0]
-    if pts32.shape[0] == 0:
-        return np.arange(count), np.zeros(count, dtype=bool)
-    alive = np.ones(count, dtype=bool)
-    near_margin = np.zeros(count, dtype=bool)
-    csq = np.sum(cand32 * cand32, axis=1)
-    for lo in range(0, pts32.shape[0], chunk):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+    rows = _kernel_rows(cand)
+    csq = np.einsum("ij,ij->i", cand, cand)
+    near_margin = np.zeros(cand.shape[0], dtype=bool)
+    keep = np.arange(cand.shape[0])
+    for lo in range(0, cols.shape[1], chunk):
+        nearest = np.min(rows[keep] @ cols[:, lo:lo + chunk], axis=1) + csq[keep]
+        near_margin[keep[nearest <= eps2_hi]] = True
+        keep = keep[nearest > eps2_lo]
+        if keep.size == 0:
             break
-        blk = pts32[lo:lo + chunk]
-        d2 = (csq[idx, None] + np.sum(blk * blk, axis=1)[None, :]
-              - 2.0 * cand32[idx] @ blk.T)
-        nearest = np.min(d2, axis=1)
-        alive[idx[nearest <= eps2_lo]] = False
-        near_margin[idx[nearest <= eps2_hi]] = True
-    keep = np.nonzero(alive)[0]
     return keep, near_margin[keep]
 
 
@@ -126,7 +179,9 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
 
     Stops after ``stall_limit`` consecutive rejected candidates (default
     50 * dim).  Separation is certified exactly; the size is asserted
-    against the volumetric packing bound (1 + 2/eps)^dim.
+    against the volumetric packing bound (1 + 2/eps)^dim.  The candidate
+    stream runs with BLAS capped at one thread, which is process-global
+    (see ``_util.blas_threads``).
     """
     if epsilon <= 0 or epsilon > 2:
         raise InvalidSpecError("need 0 < epsilon <= 2")
@@ -138,47 +193,49 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     descriptor = _ambient_descriptor(ambient, dim)
     capacity = 1024
     pts = np.empty((capacity, dim))
-    pts32 = np.empty((capacity, dim), dtype=np.float32)
+    cols = np.empty((dim + 1, capacity), dtype=np.float32)   # kernel columns of pts
     count = 0
     eps2 = epsilon * epsilon
     # float32 filter margins; only borderline candidates get exact checks
-    eps2_lo = eps2 - (1e-4 * eps2 + 1e-6)
-    eps2_hi = eps2 + (1e-4 * eps2 + 1e-6)
+    margin = _kernel_error(dim)
+    eps2_lo, eps2_hi = eps2 - margin, eps2 + margin
     rejections = 0
-    while rejections < stall_limit:
-        cand = sample_ambient_batch(rng, descriptor, _GREEDY_BATCH)
-        far, borderline = _far_candidates(cand.astype(np.float32), pts32[:count],
-                                          eps2_lo, eps2_hi)
-        # sequential accounting, but numpy work only on the filter survivors
-        batch_start = count
-        cursor = -1
-        for i, needs_exact in zip(far, borderline):
-            rejections += int(i) - cursor - 1
-            cursor = int(i)
-            if rejections >= stall_limit:
-                break
-            c = cand[i]
-            ok = True
-            if needs_exact and batch_start:
-                diffs = pts[:batch_start] - c
-                ok = float(np.min(np.einsum("ij,ij->i", diffs, diffs))) > eps2
-            if ok and count > batch_start:
-                diffs = pts[batch_start:count] - c
-                ok = float(np.min(np.einsum("ij,ij->i", diffs, diffs))) > eps2
-            if ok:
-                if count == capacity:
-                    capacity *= 2
-                    pts = np.concatenate([pts, np.empty((capacity - count, dim))])
-                    pts32 = np.concatenate(
-                        [pts32, np.empty((capacity - count, dim), dtype=np.float32)])
-                pts[count] = c
-                pts32[count] = c
-                count += 1
-                rejections = 0
+    # the kernel's products are (512, dim+1) @ (dim+1, count): too thin to gain
+    # from BLAS threads, whose hand-offs stall when the cores are busy
+    with blas_threads(1):
+        while rejections < stall_limit:
+            cand = sample_ambient_batch(rng, descriptor, _GREEDY_BATCH)
+            far, borderline = _far_candidates(cand, cols[:, :count], eps2_lo, eps2_hi)
+            # sequential accounting, but numpy work only on the filter survivors
+            batch_start = count
+            cursor = -1
+            for i, needs_exact in zip(far, borderline):
+                rejections += int(i) - cursor - 1
+                cursor = int(i)
+                if rejections >= stall_limit:
+                    break
+                c = cand[i]
+                ok = True
+                if needs_exact and batch_start:
+                    diffs = pts[:batch_start] - c
+                    ok = float(np.min(np.einsum("ij,ij->i", diffs, diffs))) > eps2
+                if ok and count > batch_start:
+                    diffs = pts[batch_start:count] - c
+                    ok = float(np.min(np.einsum("ij,ij->i", diffs, diffs))) > eps2
+                if ok:
+                    if count == capacity:
+                        capacity *= 2
+                        pts = np.concatenate([pts, np.empty_like(pts)])
+                        cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
+                    pts[count] = c
+                    count += 1
+                    rejections = 0
+                else:
+                    rejections += 1
             else:
-                rejections += 1
-        else:
-            rejections += _GREEDY_BATCH - 1 - cursor
+                rejections += _GREEDY_BATCH - 1 - cursor
+            if count > batch_start:
+                cols[:, batch_start:count] = _kernel_cols(pts[batch_start:count])
     points = pts[:count].copy()
     bound = volumetric_bound(dim, epsilon)
     assert points.shape[0] <= bound, (

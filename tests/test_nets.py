@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -9,7 +11,8 @@ from riplab._util import philox
 from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
                            UnsupportedAmbientError)
 from riplab.geometry import BallDescriptor, sample_ambient_batch, top_m_l2
-from riplab.nets import (Net, certify_cover, cover_check, difference_set_net,
+from riplab.nets import (Net, _far_candidates, _kernel_cols, _kernel_error,
+                         certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
                          hull_membership, min_pairwise_distance, net_from_json,
                          net_to_json, sparse_set_net)
@@ -285,10 +288,115 @@ def test_net_json_round_trip():
         net_from_json(net_to_json(net)[:40])
 
 
+def _bruteforce_min_pairwise(points):
+    best = min(float(np.sum((a - b) ** 2)) for a, b in itertools.combinations(points, 2))
+    return math.sqrt(best)
+
+
 def test_min_pairwise_blocked_scan_matches_bruteforce():
-    rng = philox(20, "pairwise")
-    pts = rng.standard_normal((300, 3))
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dd = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    np.fill_diagonal(dd, np.inf)
-    assert min_pairwise_distance(pts) == pytest.approx(dd.min(), abs=1e-14)
+    # the float64 re-check makes the result the float64 brute-force minimum
+    # exactly, at any scale (the power-of-two prescale covers subnormals) and
+    # whether or not block edges split the rows
+    pts = philox(20, "pairwise").standard_normal((300, 3))
+    for scale in (1.0, 1e3, 1e-3, 1e-310):
+        expected = _bruteforce_min_pairwise(scale * pts)
+        for block in (37, 2048):
+            assert min_pairwise_distance(scale * pts, block=block) == expected
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (36, 37), (37, 38), (198, 199), (5, 150),
+                                 (150, 5)])
+def test_min_pairwise_finds_planted_pair(i, j):
+    # block 37: (36, 37) straddles a block edge, (37, 38) starts a block
+    pts = philox(24, "planted").standard_normal((200, 3))
+    pts[j] = pts[i] + 1e-6 * np.array([0.6, 0.0, 0.8])
+    assert min_pairwise_distance(pts, block=37) == _bruteforce_min_pairwise(pts)
+    assert min_pairwise_distance(pts, block=37) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_min_pairwise_equals_float64_bruteforce_tied_lattice():
+    # 0.1 steps are not representable, so the tied pairs differ in their last
+    # bits and the exact minimum is decided by the float64 re-check
+    grid = 0.1 * np.array(list(itertools.product(range(7), repeat=3)), dtype=float)
+    pts = grid - 0.3
+    assert min_pairwise_distance(pts, block=50) == _bruteforce_min_pairwise(pts)
+
+
+def test_min_pairwise_equals_float64_bruteforce_sparse_union():
+    net = sparse_set_net(6, 2, 0.5, "ball", seed=22)
+    assert len(net) > 100
+    assert min_pairwise_distance(net.points) == _bruteforce_min_pairwise(net.points)
+
+
+# sha256 over points.tobytes() and repr(min_pairwise) of the nets at
+# dims 1-6, eps in (0.25, 0.5, 1.0), seed 0, in that order.  The two
+# slowest grid points of each stall setting are left out to keep the test
+# near a second: (6, 0.25) at the default limit, and eps = 0.25 at dims 5
+# and 6 at the explicit one.
+GOLDEN_STALL = 3000
+GREEDY_NET_GOLDEN = {
+    ("ball", "default"):
+        "055958265c2d99c29cb595a43ae4b3954dc16a5535365b79af2a2510671edabf",
+    ("ball", "explicit"):
+        "9c4a446e952e750ee51d8b5a8b3ce2f24bbdf44c26977c255b1f1d1c139ab146",
+    ("sphere", "default"):
+        "754fe390311779e413e09e5fd24b669b36b6322295a63405508540e4f356eae4",
+    ("sphere", "explicit"):
+        "faf4675e841db3a1c14c4f5593def28e0c3b2e877ff0c02c5011d01c32dde29f",
+}
+
+
+@pytest.mark.parametrize("ambient,stall", list(GREEDY_NET_GOLDEN),
+                         ids=[f"{a}-{s}" for a, s in GREEDY_NET_GOLDEN])
+def test_greedy_net_bytes_golden(ambient, stall):
+    h = hashlib.sha256()
+    for dim in range(1, 7):
+        for eps in (0.25, 0.5, 1.0):
+            if eps == 0.25 and (dim == 6 or (dim == 5 and stall == "explicit")):
+                continue
+            limit = GOLDEN_STALL if stall == "explicit" else None
+            net = greedy_separated_net(dim, eps, ambient, seed=0, stall_limit=limit)
+            h.update(net.points.tobytes())
+            h.update(repr(net.min_pairwise).encode())
+    assert h.hexdigest() == GREEDY_NET_GOLDEN[(ambient, stall)]
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8])
+def test_far_candidates_margins_match_exact_test(dim):
+    """Candidates at squared distance eps^2 (1 +- 10^-j) from net points."""
+    eps = 0.3
+    eps2 = eps * eps
+    rng = philox(23, "margins", dim)
+    # net points in 0.69 B_2, more than 2.2 eps apart, so the point a
+    # candidate is placed around is its nearest one
+    draws = 0.69 * sample_ambient_batch(rng, BallDescriptor.euclidean_ball(dim), 400)
+    net = draws[:1]
+    for p in draws[1:]:
+        if np.min(np.linalg.norm(net - p, axis=1)) > 2.2 * eps:
+            net = np.vstack([net, p])
+    cands, designed = [], []
+    for j in range(3, 13):
+        for sign in (1.0, -1.0):
+            for _ in range(8):
+                v = rng.standard_normal(dim)
+                r = eps * math.sqrt(1.0 + sign * 10.0 ** -j)
+                cands.append(net[rng.integers(len(net))] + r * v / np.linalg.norm(v))
+                designed.append(j)
+    cands, designed = np.array(cands), np.array(designed)
+    assert np.all(np.linalg.norm(cands, axis=1) <= 1.0)
+    err = _kernel_error(dim)
+    keep, borderline = _far_candidates(cands, _kernel_cols(net), eps2 - err, eps2 + err,
+                                       chunk=2)
+    kept = np.zeros(len(cands), dtype=bool)
+    kept[keep] = True
+    rechecked = np.zeros(len(cands), dtype=bool)
+    rechecked[keep] = borderline
+    exact = np.array([np.min(np.einsum("ij,ij->i", net - c, net - c)) > eps2
+                      for c in cands])
+    assert not np.any(exact & ~kept), "dropped a candidate the exact test accepts"
+    assert not np.any(~exact & kept & ~rechecked), "passed a reject without re-check"
+    # the margins are narrow: a relative gap of 1e-3 is decided in float32,
+    # one of 1e-12 is not
+    assert np.array_equal(kept[designed == 3], exact[designed == 3])
+    assert not np.any(rechecked[designed == 3])
+    assert np.all(rechecked[designed == 12])

@@ -191,6 +191,28 @@ def test_fisher_yates_prefix_matches_sequential_draws(n, m):
                               arr[:m])
 
 
+def test_rip_mc_supports_are_prefixes_of_one_stream(monkeypatch):
+    # each trial's support at m' is the first m' entries of the Fisher-Yates
+    # stream that gives its support at m, so supports are nested in m and
+    # theta is monotone in m (Cauchy interlacing): bisection for m* is exact
+    captured = []
+    kernel = spectral._extremal_eigs
+
+    def spy(gram, supports):
+        captured.append(supports.copy())
+        return kernel(gram, supports)
+
+    monkeypatch.setattr(spectral, "_extremal_eigs", spy)
+    mat = generate(EnsembleSpec("bernoulli", n=40, k=20, seed=5))
+    trials, seed, full = 60, 31, 12
+    thetas = [rip_monte_carlo(mat, m, trials, seed).theta for m in range(1, full + 1)]
+    for t in range(trials):
+        stream = fisher_yates_prefix(philox(seed, "rip-mc", t), mat.n, full)
+        for m, supports in enumerate(captured, start=1):
+            assert np.array_equal(supports[t], np.sort(stream[:m]))
+    assert thetas == sorted(thetas)
+
+
 def test_rip_mc_single_trial_matches_its_support():
     m = generate(EnsembleSpec("bernoulli", n=12, k=6, seed=4))
     rep = rip_monte_carlo(m, 3, trials=1, seed=11)

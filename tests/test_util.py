@@ -1,0 +1,89 @@
+import logging
+import sys
+import threading
+
+import pytest
+
+from riplab import _util
+from riplab._util import blas_threads, parallel_map
+
+needs_openblas = pytest.mark.skipif(_util._openblas_threads() is None,
+                                    reason="numpy's OpenBLAS thread symbols not found")
+
+
+@needs_openblas
+def test_blas_threads_caps_and_restores():
+    get, set_ = _util._openblas_threads()
+    before = get()
+    try:
+        set_(2)
+        with blas_threads(1):
+            assert get() == 1
+        assert get() == 2
+        with blas_threads(0):              # never below one thread
+            assert get() == 1
+        set_(1)
+        with blas_threads(8):              # never above the current count
+            assert get() == 1
+        assert get() == 1
+    finally:
+        set_(before)
+
+
+@needs_openblas
+def test_parallel_map_gives_each_worker_its_share_of_cores(monkeypatch):
+    get, set_ = _util._openblas_threads()
+    before = get()
+    monkeypatch.setattr(_util.os, "sched_getaffinity", lambda pid: set(range(8)))
+    try:
+        set_(8)
+        seen = parallel_map(lambda _: get(), list(range(6)), threads=3)
+        assert seen == [2] * 6                        # 8 cores // 3 workers
+        assert parallel_map(lambda _: get(), [0, 1], threads=4) == [4, 4]   # 2 workers
+        assert parallel_map(lambda _: get(), [0], threads=4) == [8]         # serial
+        assert get() == 8
+    finally:
+        set_(before)
+
+
+def test_parallel_map_keeps_item_order_without_blas_symbols(monkeypatch):
+    monkeypatch.setattr(_util, "_openblas_threads", lambda: None)
+    names = parallel_map(lambda i: (i, threading.current_thread().name), list(range(20)),
+                         threads=4)
+    assert [i for i, _ in names] == list(range(20))
+    with blas_threads(1):
+        pass
+
+
+def test_missing_blas_symbol_logs_one_debug_line(monkeypatch, caplog):
+    monkeypatch.setattr(_util, "_BLAS_GET", "no_such_blas_symbol")
+    probe = _util._openblas_threads.__wrapped__
+    with caplog.at_level(logging.DEBUG, logger="riplab"):
+        assert probe() is None
+    assert len(caplog.records) == 1
+    assert caplog.records[0].levelno == logging.DEBUG
+
+
+@needs_openblas
+def test_nested_blas_caps_in_workers_restore_the_count():
+    # greedy nets cap BLAS at one thread inside each worker; however those
+    # blocks interleave, the pool's own block restores the count on exit
+    from riplab.nets import greedy_separated_net
+
+    get, set_ = _util._openblas_threads()
+    before = get()
+    interval = sys.getswitchinterval()
+    items = [(dim, seed) for dim in (2, 3) for seed in range(8)]
+
+    def build(item):
+        return greedy_separated_net(item[0], 0.5, "ball", item[1]).points.tobytes()
+
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        pooled = parallel_map(build, items, threads=8)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+    assert pooled == [build(item) for item in items]
