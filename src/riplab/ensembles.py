@@ -228,12 +228,11 @@ def _psi2_of_samples(z: np.ndarray) -> float:
     return hi
 
 
-def psi2_direction_estimate(spec: EnsembleSpec, y: np.ndarray, samples: int,
-                            sample_seed: int | None = None) -> float:
+def psi2_direction_estimate(spec: EnsembleSpec, y: np.ndarray, samples: int) -> float:
     """Empirical psi2 norm of <X, y>/|y| from ``samples`` fresh rows."""
     y = np.asarray(y, dtype=float)
-    seed = derive_seed(spec.seed, "psi2-rows") if sample_seed is None else sample_seed
-    x = sample_rows(spec.kind, spec.n, seed, range(samples), spec.support)
+    x = sample_rows(spec.kind, spec.n, derive_seed(spec.seed, "psi2-rows"),
+                    range(samples), spec.support)
     return _psi2_of_samples(x @ (y / np.linalg.norm(y)))
 
 

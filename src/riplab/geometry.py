@@ -156,6 +156,13 @@ def _in_weak_lp(x: np.ndarray, ball: BallDescriptor, atol: float) -> np.ndarray:
     return np.all(star <= envelope + atol, axis=-1)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x, equal bit for bit to np.linalg.norm
+    of the row alone: one dot product per row (norm(axis=1) sums in
+    another order)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+
+
 def top_m_l2(x: np.ndarray, m: int) -> float:
     """Euclidean norm of the m largest-magnitude entries."""
     x = np.asarray(x, dtype=float)
@@ -243,9 +250,7 @@ def sample_unit_cap(rng: np.random.Generator, ball: BallDescriptor,
     for _ in range(CAP_TRIES):
         rows = draw(rng, ball, outside.size)
         out[outside] = rows
-        # row norms as dot products, equal bit for bit to np.linalg.norm of
-        # one row; norm(axis=1) sums in another order
-        nrm[outside] = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+        nrm[outside] = row_norms(rows)
         outside = outside[nrm[outside] > 1.0]
         if outside.size == 0:
             break

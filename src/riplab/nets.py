@@ -386,6 +386,9 @@ def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecompositi
                              residual_norm=float(np.linalg.norm(z - recon)))
 
 
+FW_GAP_TOL, FW_MEMBERSHIP_TOL, FW_MAX_ITER = 1e-9, 1e-6, 20000   # hull_membership
+
+
 @dataclass(frozen=True)
 class HullMembership:
     member: bool | None              # None when the solve stalled (indeterminate)
@@ -402,14 +405,13 @@ class HullMembership:
         return self.member is True
 
 
-def hull_membership(z: np.ndarray, points: np.ndarray, blowup: float = 1.0,
-                    gap_tol: float = 1e-9, membership_tol: float = 1e-6,
-                    max_iter: int = 20000) -> HullMembership:
+def hull_membership(z: np.ndarray, points: np.ndarray,
+                    blowup: float = 1.0) -> HullMembership:
     """Decide z in blowup * conv(points) by Frank-Wolfe projection.
 
     Minimizes |x - z/blowup|^2/2 over the hull with exact line search.
     A positive margin max_d(<d, z'> - max_p <d, p>) is an exact negative
-    certificate; distance below ``membership_tol`` is the positive one.
+    certificate; distance below FW_MEMBERSHIP_TOL is the positive one.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -418,12 +420,12 @@ def hull_membership(z: np.ndarray, points: np.ndarray, blowup: float = 1.0,
     x = pts[0].copy()
     gap = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FW_MAX_ITER + 1):
         grad = x - zp
         scores = pts @ grad
         s = pts[int(np.argmin(scores))]
         gap = float(grad @ (x - s))
-        if gap <= gap_tol:
+        if gap <= FW_GAP_TOL:
             break
         diff = x - s
         denom = float(diff @ diff)
@@ -432,7 +434,7 @@ def hull_membership(z: np.ndarray, points: np.ndarray, blowup: float = 1.0,
     d = zp - x
     dist = float(np.linalg.norm(d))
     margin = float(d @ zp - np.max(pts @ d))
-    if dist <= membership_tol:
+    if dist <= FW_MEMBERSHIP_TOL:
         member = True
     elif margin > 0.0:
         member = False

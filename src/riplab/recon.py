@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._util import philox
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate, row_normalize
 from .errors import BudgetError, InfeasibleError, InvalidSpecError
-from .geometry import (BallDescriptor, member, rearrange, required_hull_sparsity,
+from .geometry import (BallDescriptor, member, required_hull_sparsity, row_norms,
                        sample_ambient_batch, sample_weak_lp_ball)
 from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
 FEASIBILITY_TOL = 1e-8
 RANK_CUT = 1e-10                 # singular values below RANK_CUT * top are zero
+LOWER_STEPS = 400                # subgradient steps per kernel_diameter_lower restart
+COVER_PROBES = 2000              # cover_check probes per kernel_diameter_upper
 
 # Sparsity budget k >= c_p * m * log(c1 * n / m), calibrated on seeds
 # [0, 50) at n = 32, k = 16 (Bernoulli, l1 ball) and frozen; test seeds
@@ -92,8 +94,9 @@ ITERATIVE_SOLVER = "primal-dual"
 def _l1_exact(entries: np.ndarray, b: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
     """Best basic solution over all supports of size at most k."""
     k, n = entries.shape
-    if math.comb(n, k) > budget:
-        raise BudgetError(f"C({n},{k}) = {math.comb(n, k)} exceeds budget {budget}")
+    supports = sum(math.comb(n, size) for size in range(1, k + 1))
+    if supports > budget:
+        raise BudgetError(f"{supports} supports of size 1..{k} exceed budget {budget}")
     best_x = np.zeros(n)
     best_obj = math.inf if np.linalg.norm(b) > FEASIBILITY_TOL else 0.0
     checked = 0
@@ -288,43 +291,34 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
 # kernel diameter, lower bound by search
 
 
-def _gauge(z: np.ndarray, ball: BallDescriptor) -> tuple[float, np.ndarray]:
-    """Minkowski gauge of z for the supported star bodies, and a subgradient."""
+def _gauge(z: np.ndarray, ball: BallDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """Minkowski gauge of each row of z for the supported star bodies, and
+    a subgradient per row."""
     if ball.family == "l1":
-        return float(np.sum(np.abs(z))) / ball.radius, np.sign(z) / ball.radius
+        return np.sum(np.abs(z), axis=1) / ball.radius, np.sign(z) / ball.radius
     if ball.family == "weak-lp":
-        re = rearrange(z)
-        scale = np.arange(1, z.size + 1) ** (1.0 / ball.p)
-        top = int(np.argmax(re.values * scale))
-        j = int(re.permutation[top])
+        perm = np.argsort(-np.abs(z), axis=1, kind="stable")
+        scale = np.arange(1, z.shape[1] + 1) ** (1.0 / ball.p)
+        scaled = np.abs(np.take_along_axis(z, perm, axis=1)) * scale
+        rows, top = np.arange(len(z)), np.argmax(scaled, axis=1)
+        j = perm[rows, top]
         g = np.zeros_like(z)
-        g[j] = math.copysign(scale[top], z[j]) / ball.radius
-        return float(re.values[top] * scale[top]) / ball.radius, g
+        g[rows, j] = np.copysign(scale[top], z[rows, j]) / ball.radius
+        return scaled[rows, top] / ball.radius, g
     raise InvalidSpecError(f"unsupported ball family {ball.family!r}")
 
 
-def _l1_vertex_polish(entries: np.ndarray, z: np.ndarray, rank: int,
-                      radius: float) -> np.ndarray:
-    """Snap to the kernel polytope vertex supported on the top rank+1 coords."""
-    n = entries.shape[1]
-    size = min(n, rank + 1)
-    support = np.argsort(-np.abs(z), kind="stable")[:size]
-    sub = entries[:, support]
-    _, _, vt = np.linalg.svd(sub)
-    v = vt[-1]
-    cand = np.zeros(n)
-    cand[support] = v
-    l1 = np.sum(np.abs(cand))
-    return cand * (radius / l1) if l1 > 0 else cand
-
-
 def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
-                          restarts: int, seed: int, iters: int = 400) -> float:
-    """Certified lower bound on diam(ker(G) cap ball) by projected search.
+                          restarts: int, seed: int) -> float:
+    """Lower bound on diam(ker(G) cap ball) by projected subgradient search.
 
     Minimizes the ball gauge over the unit sphere of kernel coordinates
-    (the maximal inscribed kernel vector is the reciprocal), with random
-    restarts; l1 balls get an exact vertex polish on the best supports.
+    (the maximal inscribed kernel vector is the reciprocal).  Each restart
+    is a row: the kernel basis vectors first, then Gaussian draws, each
+    keeping its own best over LOWER_STEPS steps, so the bound never falls
+    as restarts grows.  l1 balls also snap each best to the kernel vertex
+    on its top rank+1 coordinates.  Only candidates z with |G z| <= 1e-9
+    max(1, |G|) count: the bound is twice the norm of one of them.
     """
     if ball.family not in ("l1", "weak-lp"):
         raise InvalidSpecError("lower bound supports l1 and weak-lp balls")
@@ -332,37 +326,37 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
     if kb.dim == 0:
         return 0.0
     v = kb.basis                      # (d, n)
-    rank = m.n - kb.dim
     rng = philox(seed, "kernel-lower")
-    best = 0.0
-    best_z = None
-    eye = np.eye(kb.dim)
-    inits = [eye[i] for i in range(min(kb.dim, restarts))]
-    while len(inits) < restarts:
-        inits.append(rng.standard_normal(kb.dim))
-    for c0 in inits:
-        c = np.asarray(c0, dtype=float)
-        c /= np.linalg.norm(c)
-        for t in range(iters):
-            z = c @ v
-            g, sub = _gauge(z, ball)
-            if 1.0 / g > best:
-                best = 1.0 / g
-                best_z = z / g
-            grad = v @ sub
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                break
-            c = c - (0.3 / math.sqrt(1.0 + t)) * grad / gn
-            c /= np.linalg.norm(c)
-        if ball.family == "l1" and best_z is not None:
-            cand = _l1_vertex_polish(m.entries, best_z, rank, ball.radius)
-            nrm = float(np.linalg.norm(cand))
-            if nrm > best and np.linalg.norm(m.entries @ cand) <= 1e-9 * max(
-                    1.0, np.linalg.norm(m.entries)):
-                best = nrm
-                best_z = cand
-    return 2.0 * best
+    c = np.vstack([np.eye(kb.dim)[:restarts],
+                   rng.standard_normal((max(restarts - kb.dim, 0), kb.dim))])
+    c /= row_norms(c)[:, None]
+    best = np.zeros(restarts)
+    best_z = np.zeros((restarts, m.n))
+    for t in range(LOWER_STEPS):
+        # stacked products run one gemv per row, so each restart rounds as a
+        # search of its own would
+        z = (c[:, None] @ v)[:, 0]
+        g, sub = _gauge(z, ball)
+        better = 1.0 / g > best
+        best[better] = 1.0 / g[better]
+        best_z[better] = z[better] / g[better, None]
+        # c.grad = sub.z = gauge(z) > 0, so no subgradient step is zero
+        grad = (v @ sub[:, :, None])[:, :, 0]
+        c -= (0.3 / math.sqrt(1.0 + t)) * grad / row_norms(grad)[:, None]
+        c /= row_norms(c)[:, None]
+    cands, norms = best_z, best
+    if ball.family == "l1":
+        # the last right singular vector is the unit null vector of the columns
+        support = np.argsort(-np.abs(best_z), axis=1, kind="stable")[:, :m.n - kb.dim + 1]
+        _, _, vt = np.linalg.svd(m.entries[:, support].transpose(1, 0, 2))
+        vertex = np.zeros_like(best_z)
+        np.put_along_axis(vertex, support, vt[:, -1], axis=1)
+        vertex *= ball.radius / np.sum(np.abs(vertex), axis=1, keepdims=True)
+        cands = np.vstack([best_z, vertex])
+        norms = np.concatenate([best, row_norms(vertex)])
+    in_kernel = np.linalg.norm(cands @ m.entries.T, axis=1) <= 1e-9 * max(
+        1.0, np.linalg.norm(m.entries))
+    return 2.0 * float(np.max(norms[in_kernel], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,7 @@ class UpperBoundCertificate:
 
 def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float,
                           theta: float = 0.5, seed: int = 0,
-                          net_budget: float = 2e6, cover_probes: int = 2000,
+                          net_budget: float = 2e6,
                           stall_limit: int | None = 20_000) -> UpperBoundCertificate:
     """Per-instance certificate that diam(ker(G~) cap ball) <= rho.
 
@@ -425,7 +419,7 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
                                   stall_limit=stall_limit)
     except BudgetError as exc:
         raise BudgetError(f"net budget exceeded at rho = {rho}: {exc}") from exc
-    probe = cover_check(sphere_net, cover_probes, seed + 2)
+    probe = cover_check(sphere_net, COVER_PROBES, seed + 2)
     normalized = m if m.normalization == "row-normalized" else row_normalize(m)
     cond1 = verify_on_net(normalized, sphere_net, theta)
     # the hull net is eps * hull_net.points; |G~(eps q)| <= 2|eps q| is
@@ -474,13 +468,13 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
         t0 = np.zeros(n)
         supp = rng.choice(n, size=sparsity, replace=False)
         t0[supp] = rng.standard_normal(sparsity)
-        return t0 / _gauge(t0, ball)[0]
+        return t0 / _gauge(t0[None], ball)[0][0]
     if model == "weak-lp-extremal":
         p = 1.0 if ball.family == "l1" else ball.p
         mags = np.arange(1, n + 1) ** (-1.0 / p)
         signs = rng.integers(0, 2, n) * 2.0 - 1.0
         t0 = (signs * mags)[rng.permutation(n)]
-        return t0 / _gauge(t0, ball)[0]
+        return t0 / _gauge(t0[None], ball)[0][0]
     if model == "random-ball":
         draw = sample_ambient_batch if ball.family == "l1" else sample_weak_lp_ball
         return draw(rng, ball, 1)[0]
@@ -518,8 +512,4 @@ def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
         if certified:
             a = 1.0 if ball.family == "l1" else 2.0 ** (1.0 / ball.p)
             bound = 2.0 * a * rho
-    return ReconResult(
-        b=result.b, x_hat=result.x_hat, solver=result.solver,
-        objective=result.objective, residual=result.residual,
-        iterations=result.iterations, gap=result.gap, t0=t0, error=result.error,
-        bound=bound, certified=certified)
+    return replace(result, bound=bound, certified=certified)

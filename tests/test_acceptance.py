@@ -28,6 +28,7 @@ from riplab.recon import (kernel_diameter_lower, kernel_diameter_upper,
                           l1_minimize, recon_experiment, rho_from_budget)
 from riplab.spectral import fisher_yates_prefix, rip_exact, rip_monte_carlo
 from riplab.cli import main as cli_main
+from test_recon import exact_l1_kernel_diameter
 
 pytestmark = pytest.mark.acceptance
 
@@ -276,26 +277,6 @@ def test_criterion_7_hull_inclusions():
 
 # -- 8 ----------------------------------------------------------------------
 
-def _exact_l1_kernel_diameter(entries):
-    _, svals, _ = np.linalg.svd(entries)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    n = entries.shape[1]
-    best = 0.0
-    for size in range(1, min(n, rank + 1) + 1):
-        for combo in itertools.combinations(range(n), size):
-            sub = entries[:, combo]
-            _, _, vt = np.linalg.svd(sub, full_matrices=True)
-            vec = vt[-1]
-            if np.linalg.norm(sub @ vec) > 1e-10 * max(1.0, svals[0]):
-                continue
-            z = np.zeros(n)
-            z[list(combo)] = vec
-            l1 = float(np.sum(np.abs(z)))
-            if l1 > 0:
-                best = max(best, float(np.linalg.norm(z)) / l1)
-    return 2.0 * best
-
-
 def test_criterion_8_kernel_diameter_sandwich():
     start = time.perf_counter()
     # (a) 50 Bernoulli instances at n=32, k=16: certification is attempted at
@@ -333,7 +314,7 @@ def test_criterion_8_kernel_diameter_sandwich():
         mat = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=seed))
         lo = kernel_diameter_lower(mat, BallDescriptor.l1_ball(8),
                                    restarts=40, seed=seed)
-        exact = _exact_l1_kernel_diameter(mat.entries)
+        exact = exact_l1_kernel_diameter(mat.entries)
         worst_gap = max(worst_gap, abs(lo - exact))
         sandwich_ok &= lo <= exact + 1e-9
     elapsed = time.perf_counter() - start

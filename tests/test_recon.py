@@ -102,6 +102,13 @@ def test_l1_exact_budget_error():
         l1_minimize(m, np.zeros(12) + m.entries[:, 0], mode="exact", budget=100)
 
 
+def test_l1_exact_budget_counts_every_support_size():
+    # C(12, 10) = 66 fits the budget, but sizes 1..10 make 4082 supports
+    m = generate(EnsembleSpec("bernoulli", n=12, k=10, seed=2))
+    with pytest.raises(BudgetError, match="4082"):
+        l1_minimize(m, m.entries[:, 0], mode="exact", budget=100)
+
+
 def test_l1_exact_solution_is_basic():
     m = generate(EnsembleSpec("gaussian", n=12, k=5, seed=6))
     t0 = np.zeros(12)
@@ -209,15 +216,68 @@ def test_kernel_diameter_lower_matches_vertex_oracle():
         assert abs(lo - exact) <= 1e-6
 
 
+def weak_lp_gauge(z, p):
+    """Gauge of each row of z for the unit weak-lp ball: max_i i^(1/p) z*_i."""
+    star = -np.sort(-np.abs(z), axis=1)
+    return np.max(star * np.arange(1, z.shape[1] + 1) ** (1.0 / p), axis=1)
+
+
 def test_kernel_diameter_lower_weak_lp_route():
     mat = generate(EnsembleSpec("gaussian", n=8, k=4, seed=11))
     ball = BallDescriptor.weak_lp_ball(8, 0.5)
     lo = kernel_diameter_lower(mat, ball, restarts=20, seed=12)
-    assert lo > 0.0
-    # the reported bound is attained by a kernel vector inside the ball:
-    # recompute via the definition on the best direction the search returns
-    kb = kernel_basis(mat)
-    assert kb.dim == 4
+    # at least the best of 20k random kernel directions scaled onto the ball
+    # (1.000), at most twice the norm of the weak-lp envelope (2.080)
+    dirs = philox(12, "weak-lp-route").standard_normal((20_000, 4))
+    z = dirs @ kernel_basis(mat).basis
+    sampled = float(np.max(2.0 * np.linalg.norm(z, axis=1) / weak_lp_gauge(z, 0.5)))
+    envelope = np.arange(1, 9) ** -2.0
+    assert sampled <= lo <= 2.0 * np.linalg.norm(envelope)
+
+
+def one_restart_search(basis, c, p, steps=400):
+    """Largest 1/weak-lp gauge along one projected subgradient run from c,
+    one vector at a time."""
+    c = c / np.linalg.norm(c)
+    best = 0.0
+    for t in range(steps):
+        z = c @ basis
+        star_order = np.argsort(-np.abs(z), kind="stable")
+        scale = np.arange(1, z.size + 1) ** (1.0 / p)
+        top = int(np.argmax(np.abs(z[star_order]) * scale))
+        j = int(star_order[top])
+        g = float(np.abs(z[j]) * scale[top])
+        best = max(best, 1.0 / g)
+        sub = np.zeros_like(z)
+        sub[j] = math.copysign(scale[top], z[j])
+        grad = basis @ sub
+        c = c - (0.3 / math.sqrt(1.0 + t)) * grad / np.linalg.norm(grad)
+        c /= np.linalg.norm(c)
+    return best
+
+
+def test_kernel_diameter_lower_rows_match_one_restart_search():
+    # every row of the batched search rounds as its own one-vector run
+    mat = generate(EnsembleSpec("bernoulli", n=16, k=8, seed=21))
+    basis = kernel_basis(mat).basis
+    starts = np.vstack([np.eye(8), philox(5, "kernel-lower").standard_normal((4, 8))])
+    expected = max(one_restart_search(basis, c, 0.5) for c in starts)
+    lo = kernel_diameter_lower(mat, BallDescriptor.weak_lp_ball(16, 0.5),
+                               restarts=12, seed=5)
+    assert lo == 2.0 * expected
+
+
+@pytest.mark.parametrize("ball", [BallDescriptor.l1_ball(16),
+                                  BallDescriptor.weak_lp_ball(16, 0.5)],
+                         ids=["l1", "weak-lp"])
+def test_kernel_diameter_lower_never_decreases_with_restarts(ball):
+    # the starting points for r restarts are a prefix of those for r + 1
+    for seed in (3, 4):
+        mat = generate(EnsembleSpec("bernoulli", n=16, k=8, seed=seed))
+        bounds = [kernel_diameter_lower(mat, ball, restarts=r, seed=seed)
+                  for r in range(1, 15)]
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+        assert bounds[0] > 0.0
 
 
 def test_kernel_diameter_upper_identity_certifies():
