@@ -10,10 +10,10 @@ from .ensembles import (EnsembleSpec, MeasurementMatrix, Psi2Estimate,
                         estimate_psi2, generate, row_normalize)
 from .geometry import BallDescriptor, Rearrangement, member, rearrange, top_m_l2
 from .nets import (HullDecomposition, Net, cover_check, difference_set_net,
-                   gaussian_width, greedy_separated_net, hull_decompose,
-                   hull_membership, sparse_set_net)
-from .recon import (KernelBasis, ReconResult, kernel_basis, kernel_diameter_lower,
-                    kernel_diameter_upper, l1_minimize, recon_experiment)
+                   gaussian_width, greedy_separated_net, hull_decompose, sparse_set_net)
+from .recon import (KernelBasis, ReconResult, hull_membership, kernel_basis,
+                    kernel_diameter_lower, kernel_diameter_upper, l1_minimize,
+                    recon_experiment)
 from .spectral import (RipReport, SupportSet, check_uup, gram_extremal_eigs,
                        rip_exact, rip_monte_carlo, verify_on_net)
 from .concentration import (TailReport, bernstein_psi2_consistency,

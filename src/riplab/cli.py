@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_with_config(argv))
         for name in _COUNTS:
             value = getattr(args, name, None)
-            if value is not None and value < 1:
+            if value is not None and not value >= 1:
                 raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except UsageError as exc:

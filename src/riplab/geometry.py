@@ -53,8 +53,8 @@ class BallDescriptor:
             raise InvalidSpecError(f"unknown ball family {self.family!r}")
         if self.dim < 1:
             raise InvalidSpecError("dim must be >= 1")
-        if self.radius <= 0:
-            raise InvalidSpecError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise InvalidSpecError("radius must be positive and finite")
         if self.family in ("lp", "weak-lp"):
             if self.p is None or not (0.0 < self.p <= 2.0):
                 raise InvalidSpecError("lp/weak-lp need p in (0, 2]")

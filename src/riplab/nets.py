@@ -2,8 +2,8 @@
 
 Greedy maximal separated subsets of balls and spheres, unions of
 coordinate-subspace nets for sparse sets, scaled half-covers for
-difference sets, geometric-series hull decompositions, Frank-Wolfe hull
-membership with separating certificates, and Monte-Carlo Gaussian widths.
+difference sets, geometric-series hull decompositions, and Monte-Carlo
+Gaussian widths.
 
 Separation certificates are exact: a float32 scan of the upper triangle
 of the pair matrix keeps every pair within a stated rounding-error margin
@@ -183,7 +183,7 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     stream runs with BLAS capped at one thread, which is process-global
     (see ``_util.blas_threads``).
     """
-    if epsilon <= 0 or epsilon > 2:
+    if not 0.0 < epsilon <= 2.0:
         raise InvalidSpecError("need 0 < epsilon <= 2")
     if dim < 1:
         raise InvalidSpecError("dim must be >= 1")
@@ -384,64 +384,6 @@ def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecompositi
         recon += c * pts[idx]
     return HullDecomposition(target=z, terms=tuple(terms),
                              residual_norm=float(np.linalg.norm(z - recon)))
-
-
-FW_GAP_TOL, FW_MEMBERSHIP_TOL, FW_MAX_ITER = 1e-9, 1e-6, 20000   # hull_membership
-
-
-@dataclass(frozen=True)
-class HullMembership:
-    member: bool | None              # None when the solve stalled (indeterminate)
-    distance: float                  # final distance to the hull, blown-down scale
-    margin: float                    # separation margin; > 0 proves non-membership
-    direction: np.ndarray            # separating direction (final gradient sign)
-    iterations: int
-    gap: float
-
-    def __post_init__(self):
-        self.direction.setflags(write=False)
-
-    def __bool__(self) -> bool:
-        return self.member is True
-
-
-def hull_membership(z: np.ndarray, points: np.ndarray,
-                    blowup: float = 1.0) -> HullMembership:
-    """Decide z in blowup * conv(points) by Frank-Wolfe projection.
-
-    Minimizes |x - z/blowup|^2/2 over the hull with exact line search.
-    A positive margin max_d(<d, z'> - max_p <d, p>) is an exact negative
-    certificate; distance below FW_MEMBERSHIP_TOL is the positive one.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InvalidSpecError("points must be a nonempty (count, dim) array")
-    zp = np.asarray(z, dtype=float) / blowup
-    x = pts[0].copy()
-    gap = math.inf
-    it = 0
-    for it in range(1, FW_MAX_ITER + 1):
-        grad = x - zp
-        scores = pts @ grad
-        s = pts[int(np.argmin(scores))]
-        gap = float(grad @ (x - s))
-        if gap <= FW_GAP_TOL:
-            break
-        diff = x - s
-        denom = float(diff @ diff)
-        step = 1.0 if denom == 0.0 else min(1.0, max(0.0, gap / denom))
-        x = x - step * diff
-    d = zp - x
-    dist = float(np.linalg.norm(d))
-    margin = float(d @ zp - np.max(pts @ d))
-    if dist <= FW_MEMBERSHIP_TOL:
-        member = True
-    elif margin > 0.0:
-        member = False
-    else:
-        member = None
-    return HullMembership(member=member, distance=dist, margin=margin,
-                          direction=d, iterations=it, gap=gap)
 
 
 @dataclass(frozen=True)

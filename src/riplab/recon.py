@@ -2,9 +2,9 @@
 
 l1 minimization under exact equality constraints (enumeration oracle and
 a primal-dual interior-point solver that stops on a certified duality
-gap), kernel-diameter lower bounds by nonconvex search with vertex
-polish, per-instance upper-bound certificates built from the net
-machinery, and the end-to-end recovery experiment.
+gap), hull membership decided by that solver, kernel-diameter lower
+bounds by nonconvex search with vertex polish, per-instance upper-bound
+certificates from the net machinery, and the end-to-end experiment.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
 FEASIBILITY_TOL = 1e-8
+MEMBERSHIP_TOL = 1e-6            # hull_membership: distance that counts as inside
 RANK_CUT = 1e-10                 # singular values below RANK_CUT * top are zero
 LOWER_STEPS = 400                # subgradient steps per kernel_diameter_lower restart
 COVER_PROBES = 2000              # cover_check probes per kernel_diameter_upper
@@ -124,9 +125,10 @@ PD_MAX_STEPS, PD_MAX_BACKTRACKS = 100, 32
 PD_GAP_REL = 1e-7                # stop once gap <= PD_GAP_REL * max(1, |x|_1)
 
 
-def _dual_bound(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
-    """b.y after scaling y into the dual feasible set |a^T y|_inf <= 1."""
-    return float(b @ y) / max(1.0, float(np.max(np.abs(a.T @ y))))
+def _dual_bound(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """(b.y, y) after scaling y into the dual feasible set |a^T y|_inf <= 1."""
+    scale = max(1.0, float(np.max(np.abs(a.T @ y))))
+    return float(b @ y) / scale, y / scale
 
 
 def _basis_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -153,7 +155,7 @@ def _basis_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, float, int]:
+                    tol: float) -> tuple[np.ndarray, float, int, np.ndarray]:
     """min |x|_1 s.t. a x = b, for a with orthonormal rows and b != 0.
 
     Newton steps on the perturbed KKT system of min sum(u) s.t.
@@ -162,7 +164,7 @@ def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
     below PD_GAP_REL relative and |a x - b| <= tol, when backtracking
     collapses or the Newton matrix is singular, or after PD_MAX_STEPS.
     A crossover to a vertex follows.  Returns (x, certified gap, Newton
-    steps).
+    steps, the dual y that certifies the gap, with |a^T y|_inf <= 1).
     """
     n = a.shape[1]
     x = a.T @ b
@@ -222,7 +224,7 @@ def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
         tau = PD_MU * 2 * n / -(f1 @ lam1 + f2 @ lam2)
         resnorm = residual_norm(lam1, lam2, f1, f2, atv, rpri, tau)
         obj = float(np.sum(np.abs(x)))
-        if (obj - _dual_bound(a, b, -v) <= PD_GAP_REL * max(1.0, obj)
+        if (obj - _dual_bound(a, b, -v)[0] <= PD_GAP_REL * max(1.0, obj)
                 and np.linalg.norm(rpri) <= tol):
             break
 
@@ -244,8 +246,25 @@ def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
     cols = a[:, on]
     y = -v
     y_on = y + np.linalg.lstsq(cols.T, np.sign(x[on]) - cols.T @ y, rcond=None)[0]
-    lower = max(_dual_bound(a, b, y), _dual_bound(a, b, y_on))
-    return x, float(np.sum(np.abs(x))) - lower, steps
+    lower, y = max(_dual_bound(a, b, y), _dual_bound(a, b, y_on), key=lambda d: d[0])
+    return x, float(np.sum(np.abs(x))) - lower, steps, y
+
+
+def _l1_solve(entries: np.ndarray, b: np.ndarray) -> tuple:
+    """min |x|_1 s.t. entries x = U_r U_r^T b, on V_r x = diag(1/s_r) U_r^T b.
+
+    Returns (x, certified gap, Newton steps, y, off): the dual y = U_r
+    diag(1/s_r) y_r has |entries^T y|_inf <= 1, and off = b - U_r U_r^T b.
+    """
+    u, svals, vt, rank = _svd_rank(entries)
+    coef = u[:, :rank].T @ b
+    off = b - u[:, :rank] @ coef
+    if not np.any(coef):
+        return np.zeros(entries.shape[1]), 0.0, 0, np.zeros_like(b), off
+    # |G x - U_r U_r^T b| = |diag(s_r) (V_r x - b')| <= s_1 |V_r x - b'|
+    x, gap, steps, y = _l1_primal_dual(vt[:rank], coef / svals[:rank],
+                                       FEASIBILITY_TOL / svals[0])
+    return x, gap, steps, u[:, :rank] @ (y / svals[:rank]), off
 
 
 def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
@@ -254,28 +273,22 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
 
     mode "exact" enumerates supports of size at most k (an optimal basic
     solution has at most k nonzeros); mode "iterative" runs a primal-dual
-    interior-point method on the row-reduced system V_r x = diag(1/s_r)
-    U_r^T b from the SVD of G and reports the certified duality gap.  b
-    must lie in the column space up to FEASIBILITY_TOL; b = 0 returns 0.
+    interior-point method on the SVD row-reduced system and reports the
+    certified duality gap.  b must lie in the column space up to
+    FEASIBILITY_TOL; b = 0 returns 0.
     """
     b = np.asarray(b, dtype=float)
     entries = m.entries
-    u, svals, vt, rank = _svd_rank(entries)
-    coef = u[:, :rank].T @ b
-    if np.linalg.norm(b - u[:, :rank] @ coef) > FEASIBILITY_TOL:
-        raise InfeasibleError("b is not in the column space of the matrix")
     gap = None
     if mode == "exact":
+        # no basic solution is feasible when b is outside the column space
         x_hat, iters = _l1_exact(entries, b, budget)
         solver = EXACT_SOLVER
     elif mode == "iterative":
+        x_hat, gap, iters, _, off = _l1_solve(entries, b)
+        if np.linalg.norm(off) > FEASIBILITY_TOL:
+            raise InfeasibleError("b is not in the column space of the matrix")
         solver = ITERATIVE_SOLVER
-        if np.any(coef):
-            # |G x - U_r U_r^T b| = |diag(s_r) (V_r x - b')| <= s_1 |V_r x - b'|
-            x_hat, gap, iters = _l1_primal_dual(vt[:rank], coef / svals[:rank],
-                                                FEASIBILITY_TOL / svals[0])
-        else:
-            x_hat, gap, iters = np.zeros(m.n), 0.0, 0
     else:
         raise InvalidSpecError(f"unknown solver mode {mode!r}")
     return ReconResult(
@@ -285,6 +298,50 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
         iterations=iters, gap=gap,
         t0=None if t0 is None else np.asarray(t0, dtype=float),
         error=None if t0 is None else float(np.linalg.norm(x_hat - t0)))
+
+
+@dataclass(frozen=True)
+class HullMembership:
+    member: bool | None              # None when the solve stopped uncertified
+    distance: float                  # |z' - P^T x+| to a hull point, blown-down scale
+    margin: float                    # separation margin; > 0 proves non-membership
+    direction: np.ndarray            # separating direction d of the margin
+    iterations: int                  # Newton steps
+    gap: float                       # certified duality gap of the l1 solve
+
+    def __post_init__(self):
+        self.direction.setflags(write=False)
+
+    def __bool__(self) -> bool:
+        return self.member is True
+
+
+def hull_membership(z: np.ndarray, points: np.ndarray,
+                    blowup: float = 1.0) -> HullMembership:
+    """Decide z in blowup * conv(points) by one l1 solve.
+
+    z' = z / blowup is in conv(P) iff min{|x|_1 : P^T x = z', 1^T x = 1} = 1,
+    as |x|_1 >= 1^T x with equality iff x >= 0.  The solution clipped at 0
+    and renormalized, x+, proves membership if |P^T x+ - z'| <= MEMBERSHIP_TOL;
+    d with <d, z'> > max_p <d, p> disproves it: the part of (z', 1) off the
+    range of [P^T; 1^T] when z' is off the affine hull, else the dual, each
+    without its last entry.
+    """
+    pts, z = np.asarray(points, dtype=float), np.asarray(z, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0 or z.shape != pts.shape[1:]:
+        raise InvalidSpecError("need points of shape (count >= 1, dim) and z of shape (dim,)")
+    if not 0.0 < blowup < math.inf:
+        raise InvalidSpecError("blowup must be positive and finite")
+    zp = z / blowup
+    x, gap, steps, y, off = _l1_solve(np.vstack([pts.T, np.ones(len(pts))]),
+                                      np.append(zp, 1.0))
+    xp = np.maximum(x, 0.0)
+    distance = float(np.linalg.norm(pts.T @ (xp / np.sum(xp)) - zp))
+    d = (off if np.linalg.norm(off) > FEASIBILITY_TOL else y)[:-1]
+    margin = float(d @ zp - np.max(pts @ d))
+    member = True if distance <= MEMBERSHIP_TOL else (False if margin > 0.0 else None)
+    return HullMembership(member=member, distance=distance, margin=margin,
+                          direction=d, iterations=steps, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +448,7 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
     """
     if not (0.0 < theta < 5.0 / 9.0):
         raise InvalidSpecError("certificate needs 0 < theta < 5/9 to be nonvacuous")
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidSpecError("rho must be positive")
     if ball.family not in ("l1", "weak-lp"):
         raise InvalidSpecError("upper bound supports l1 and weak-lp balls")

@@ -191,7 +191,7 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
     """
     if not (0.0 < theta < 1.0):
         raise InvalidSpecError("need 0 < theta < 1")
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise InvalidSpecError("need lam > 1")
     bound = int(m.k / lam)
     if bound == 0:

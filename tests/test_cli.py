@@ -278,8 +278,11 @@ UUP = ["uup", "--kind", "bernoulli", "--n", 8, "--k", 4, "--theta", 0.5, "--lam"
       "--stall-limit", 0], "--stall-limit"),
     (["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model", "sparse",
       "--sparsity", 0, "--seeds", "0:2", "--k-list", "4"], "--sparsity"),
+    (["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", 0.5,
+      "--seed", 0, "--budget", "nan"], "--budget"),
 ], ids=["rip-trials", "uup-trials", "rip-threads", "uup-threads", "rip-budget",
-        "nets-budget", "nets-probes", "nets-stall-limit", "recon-sparsity"])
+        "nets-budget", "nets-probes", "nets-stall-limit", "recon-sparsity",
+        "nets-budget-nan"])
 def test_count_below_one_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
@@ -287,16 +290,30 @@ def test_count_below_one_exit_1(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config,argv", [
-    ({"n": "abc"}, ["gen", "--kind", "bernoulli", "--k", 2, "--seed", 1]),
-    ([8, 4], ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1]),
-    ({"frobnicate": 3}, ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1]),
+RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model", "sparse",
+         "--seeds", "0:2", "--k-list", "4"]
+
+
+@pytest.mark.parametrize("config,argv,prefix", [
+    ({"n": "abc"}, ["gen", "--kind", "bernoulli", "--k", 2, "--seed", 1], "usage error:"),
+    ([8, 4], ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1],
+     "usage error:"),
+    ({"frobnicate": 3}, ["gen", "--kind", "bernoulli", "--n", 8, "--k", 4, "--seed", 1],
+     "usage error:"),
     ({"table": "net\x00.csv"}, ["nets", "--construct", "greedy", "--dim", 2,
-                                  "--epsilon", 0.5]),
-    (None, UUP + ["--seed", 3]),
+                                  "--epsilon", 0.5], "usage error:"),
+    (None, UUP + ["--seed", 3], "usage error:"),
+    (None, ["nets", "--construct", "greedy", "--dim", 2, "--epsilon", "nan"],
+     "invalid parameters:"),
+    (None, ["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", "nan"],
+     "invalid parameters:"),
+    (None, UUP + ["--lam", "nan"], "invalid parameters:"),
+    (None, RECON + ["--radius", "nan"], "invalid parameters: radius"),
+    (None, RECON + ["--radius", "inf"], "invalid parameters: radius"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
-        "uup-seed"])
-def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv):
+        "uup-seed", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan", "uup-lam-nan",
+        "recon-radius-nan", "recon-radius-inf"])
+def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -304,7 +321,7 @@ def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("usage error:")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
     assert not out.exists()
 
 

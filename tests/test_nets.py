@@ -14,8 +14,9 @@ from riplab.geometry import BallDescriptor, sample_ambient_batch, top_m_l2
 from riplab.nets import (Net, _far_candidates, _kernel_cols, _kernel_error,
                          certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
-                         hull_membership, min_pairwise_distance, net_from_json,
-                         net_to_json, sparse_set_net)
+                         min_pairwise_distance, net_from_json, net_to_json,
+                         sparse_set_net)
+from riplab.recon import hull_membership
 
 GAUSS_WIDTH_HALF_NORMAL = math.sqrt(2.0 / math.pi)    # E|g|, one dimension
 GAUSS_WIDTH_MAX2 = 2.0 / math.sqrt(math.pi)           # E max(|g1|,|g2|), quadrature oracle
@@ -231,7 +232,45 @@ def test_hull_membership_agrees_with_lp_near_boundary():
         if fw.member != exact:
             # disagreement allowed only within the membership tolerance band
             assert fw.distance <= 2e-6
-    # FW distance' consistency: distances match LP verdicts on clear cases
+
+
+def test_hull_membership_decides_every_probe_near_boundary():
+    # 400 probes around 30 points in R^4; some lie within 3e-3 outside the
+    # hull, where a projection that stops on a stall cannot decide
+    for seed in range(1000, 1020):
+        rng = philox(seed, "sweep")
+        pts = rng.standard_normal((30, 4))
+        pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1.0)
+        for _ in range(20):
+            z = rng.standard_normal(4) * 0.6
+            res = hull_membership(z, pts, blowup=1.0)
+            assert res.member is not None
+            if res.member != lp_hull_member(z, pts, 1.0):
+                assert res.distance <= 1e-6
+            if res.member is False:
+                d = np.array(res.direction)
+                assert float(d @ z - np.max(pts @ d)) > 0.0
+
+
+def test_hull_membership_off_affine_hull():
+    # the points span only the plane x_3 = 0; z sits above their centroid
+    pts = philox(18, "flat").standard_normal((10, 3))
+    pts[:, 2] = 0.0
+    z = np.append(pts[:, :2].mean(axis=0), 0.5)
+    res = hull_membership(z, pts, blowup=1.0)
+    assert res.member is False and res.margin > 0
+    d = np.array(res.direction)
+    assert float(d @ z - np.max(pts @ d)) > 0.0
+
+
+@pytest.mark.parametrize("z,blowup", [
+    (np.zeros(2), 1.0), (np.zeros((3, 1)), 1.0), (np.zeros(3), 0.0),
+    (np.zeros(3), -1.0), (np.zeros(3), math.inf), (np.zeros(3), math.nan),
+], ids=["short-z", "column-z", "blowup-0", "blowup-negative", "blowup-inf",
+        "blowup-nan"])
+def test_hull_membership_rejects_bad_input(z, blowup):
+    with pytest.raises(InvalidSpecError):
+        hull_membership(z, np.vstack([np.eye(3), -np.eye(3)]), blowup=blowup)
 
 
 def test_gaussian_width_closed_forms():

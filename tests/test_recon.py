@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import riplab
+from riplab import recon
 from riplab._util import philox
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate
 from riplab.errors import BudgetError, InfeasibleError, InvalidSpecError
@@ -381,3 +383,9 @@ def test_km_budget_helpers():
     rho = rho_from_budget(1.0, 16, 32)
     m16 = max_sparsity_for_budget(16, 32, km_cp(1.0))
     assert rho == pytest.approx(m16 ** -0.5)
+
+
+def test_public_names_resolve():
+    missing = [name for name in riplab.__all__ if not hasattr(riplab, name)]
+    assert missing == []
+    assert riplab.hull_membership is recon.hull_membership
