@@ -9,6 +9,7 @@ import hashlib
 import logging
 import os
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -66,27 +67,49 @@ def _openblas_threads():
     return get, set_
 
 
+# caps of the blas_threads blocks open in any thread, and the count before the first
+_blas_lock = threading.Lock()
+_blas_caps: list[int] = []
+_blas_before = 0
+
+
 @contextlib.contextmanager
 def blas_threads(n: int):
     """Cap numpy's OpenBLAS at n threads inside the block, then restore it.
 
     The count is process-global: it applies to BLAS calls from every thread
-    of the process, and blocks entered from several threads at once would
-    restore each other's settings.  It never raises the count, so a lower
-    OPENBLAS_NUM_THREADS stays in force.  Without the OpenBLAS symbols it
-    does nothing.
+    of the process.  While blocks are open in any threads, BLAS runs at the
+    smallest of their caps, and the last block to close restores the count
+    the first one found, however the blocks interleave.  It never raises
+    the count, so a lower OPENBLAS_NUM_THREADS stays in force.  Without the
+    OpenBLAS symbols it does nothing.
     """
+    global _blas_before
     ctl = _openblas_threads()
     if ctl is None:
         yield
         return
     get, set_ = ctl
-    before = get()
-    set_(min(before, max(1, n)))
+    cap = max(1, n)
+    with _blas_lock:
+        if not _blas_caps:
+            _blas_before = get()
+        _blas_caps.append(cap)
+        set_(min([_blas_before, *_blas_caps]))
     try:
         yield
     finally:
-        set_(before)
+        with _blas_lock:
+            _blas_caps.remove(cap)
+            set_(min([_blas_before, *_blas_caps]))
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity query on this platform
+        return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
@@ -101,10 +124,7 @@ def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
     workers = min(threads, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:         # no affinity query on this platform
-        cores = os.cpu_count() or 1
+    cores = available_cores()
     with blas_threads(cores // workers), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -38,9 +38,10 @@ _COUNTS = ("trials", "threads", "budget", "probes", "sparsity", "stall_limit")
 _NESTED = {"ensemble": {"kind": "kind", "n": "n", "k": "k", "seed": "seed"},
            "ball": {"family": "ball", "p": "p", "radius": "radius", "dim": "n"}}
 
-# net construction -> (options it needs beyond --epsilon/--out, default --ambient)
-_CONSTRUCTIONS = {"greedy": (("dim",), "ball"),
-                  "sparse": (("n", "m"), "sphere"),
+# net construction -> (options it needs beyond --out, default --ambient); the
+# difference net's epsilon is always 0.5 * radius
+_CONSTRUCTIONS = {"greedy": (("epsilon", "dim"), "ball"),
+                  "sparse": (("epsilon", "n", "m"), "sphere"),
                   "difference": (("n", "m", "radius"), None)}
 
 log = logging.getLogger("riplab")
@@ -238,7 +239,7 @@ def cmd_nets(args) -> int:
 
     kind = args.construct
     needs, default_ambient = _CONSTRUCTIONS[kind]
-    for name in ("epsilon", "out", *needs):
+    for name in ("out", *needs):
         if getattr(args, name) is None:
             raise UsageError(f"--construct {kind} needs --{name}")
     ambient = default_ambient if args.ambient is None else args.ambient
@@ -252,13 +253,16 @@ def cmd_nets(args) -> int:
                              budget=args.budget, stall_limit=args.stall_limit)
         bound = sparse_net_bound(args.n, args.m, eps)
     else:
+        if eps is not None and eps != 0.5 * args.radius:
+            raise UsageError("--construct difference builds epsilon = 0.5 * radius; "
+                             f"--epsilon {eps} does not match --radius {args.radius}")
         net = difference_set_net(args.n, args.m, args.radius, args.seed,
                                  budget=args.budget)
         bound = sparse_net_bound(args.n, min(2 * args.m, args.n), 0.5)
     net = certify_cover(net, args.probes, args.seed)
     atomic_write_text(args.out, net_to_json(net))
     if args.table:
-        rows = [(kind, net.dim, eps, len(net), bound,
+        rows = [(kind, net.dim, net.epsilon, len(net), bound,
                  int(len(net) <= bound), int(net.certified_cover))]
         atomic_write_text(args.table, _csv(rows, ("construction", "dim", "epsilon",
                                                   "size", "bound", "within_bound",
@@ -345,7 +349,8 @@ def build_parser() -> _Parser:
     n.add_argument("--dim", type=int)
     n.add_argument("--n", type=int)
     n.add_argument("--m", type=int)
-    n.add_argument("--epsilon", type=float)
+    n.add_argument("--epsilon", type=float,
+                   help="cover radius; a difference net's is 0.5 * --radius")
     n.add_argument("--radius", type=float)
     n.add_argument("--ambient", choices=("ball", "sphere"))
     n.add_argument("--seed", type=int, default=0)

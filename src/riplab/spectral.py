@@ -7,7 +7,12 @@ principal-submatrix interlacing makes smaller supports redundant.
 
 Exact, Monte-Carlo and single-support evaluations share one kernel: form
 the Gram matrix once, gather the principal submatrix of every support and
-take batched LAPACK eigenvalues of the stack.
+take batched LAPACK eigenvalues of the stack.  A stack larger than one
+gather chunk is split over a pool of up to one worker per core, each at
+one BLAS thread; every eigenvalue call runs at one BLAS thread, so reports
+do not depend on the core count, the BLAS thread setting or the caller's
+threads.  Monte-Carlo supports come from one vectorized Fisher-Yates loop
+over all trials, each trial driven by its own seeded offsets.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import philox
+from ._util import available_cores, blas_threads, parallel_map, philox
 from .ensembles import RAW, ROW_NORMALIZED, MeasurementMatrix
 from .errors import BudgetError, EmptySupportError, InvalidSpecError
 from .nets import Net
@@ -47,24 +52,36 @@ class SupportSet:
         return len(self.indices)
 
 
-# Doubles per gathered stack of principal submatrices (8 MiB), so memory
-# stays flat however many supports a call evaluates.
+# Doubles per gathered stack of principal submatrices (8 MiB) in flight in
+# one call, however many supports it evaluates and however many workers.
 _GATHER_DOUBLES = 1 << 20
 
 
 def _extremal_eigs(gram: np.ndarray, supports: np.ndarray):
     """(lambda_min, lambda_max) arrays of gram[A, A] over the rows A of (s, m) supports.
 
-    Each principal submatrix goes through its own LAPACK call, so a
-    support's eigenvalues do not depend on which chunk it lands in.
+    A stack of more than one chunk (``_GATHER_DOUBLES`` doubles) goes to
+    min(cores, chunks) pool workers, each gathering its share of the
+    chunk's doubles at a time, so the doubles in flight stay within one
+    chunk.  Each worker writes its own slices of the outputs.  Each
+    principal submatrix goes through its own LAPACK call at one BLAS
+    thread, so a support's eigenvalues depend neither on which stack it
+    lands in nor on how many workers or BLAS threads the machine has.
     """
     count, size = supports.shape
-    step = max(1, _GATHER_DOUBLES // (size * size))
+    per_chunk = max(1, _GATHER_DOUBLES // (size * size))
+    # workers <= per_chunk keeps step >= 1 and workers * step submatrices in one chunk
+    workers = min(available_cores(), -(-count // per_chunk), per_chunk)
+    step = per_chunk // workers
     lmin, lmax = np.empty(count), np.empty(count)
-    for lo in range(0, count, step):
+
+    def stack(lo):
         idx = supports[lo:lo + step]
         eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         lmin[lo:lo + step], lmax[lo:lo + step] = eigs[:, 0], eigs[:, -1]
+
+    with blas_threads(1):
+        parallel_map(stack, range(0, count, step), threads=workers)
     return lmin, lmax
 
 
@@ -139,14 +156,30 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
                                    supports, n=m.n)
 
 
+def _fisher_yates_offsets(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """Offsets of the first m Fisher-Yates swaps of range(n): step j swaps j, j + offset."""
+    return rng.integers(0, n - np.arange(m))
+
+
+def _fisher_yates_rows(offsets: np.ndarray, n: int) -> np.ndarray:
+    """First m entries of the shuffle of range(n) that each row of (rows, m) offsets drives.
+
+    Step j runs for every row at once, so the loop is m numpy steps.
+    """
+    rows, m = offsets.shape
+    arr = np.tile(np.arange(n), (rows, 1))
+    r = np.arange(rows)
+    for j in range(m):
+        swap = j + offsets[:, j]
+        head = arr[:, j].copy()
+        arr[:, j] = arr[r, swap]
+        arr[r, swap] = head
+    return arr[:, :m]
+
+
 def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """First m entries of a Fisher-Yates shuffle of range(n)."""
-    arr = np.arange(n)
-    offsets = rng.integers(0, n - np.arange(m))
-    for j in range(m):
-        swap = j + int(offsets[j])
-        arr[j], arr[swap] = arr[swap], arr[j]
-    return arr[:m]
+    return _fisher_yates_rows(_fisher_yates_offsets(rng, n, m)[None], n)[0]
 
 
 def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
@@ -163,9 +196,9 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("sparsity exceeds ambient dimension")
     gram = _gram(m)
-    draws = [fisher_yates_prefix(philox(seed, "rip-mc", t), m.n, sparsity)
-             for t in range(trials)]
-    supports = np.sort(np.stack(draws), axis=1)
+    offsets = np.stack([_fisher_yates_offsets(philox(seed, "rip-mc", t), m.n, sparsity)
+                        for t in range(trials)])
+    supports = np.sort(_fisher_yates_rows(offsets, m.n), axis=1)
     lmin, lmax = _extremal_eigs(gram, supports)
     return _report_from_deviations(sparsity, MC_METHOD, 1.0 - lmin, lmax - 1.0, supports,
                                    trials=trials, n=m.n)

@@ -167,6 +167,19 @@ def test_recon_threads_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_rip_mc_threads_byte_identical_at_large_supports(tmp_path):
+    # 256 x 256 eigenproblems, large enough for a multi-threaded BLAS to
+    # change the last digits if the worker count set its thread count
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"rip{threads}.csv"
+        assert run(["rip", "--kind", "bernoulli", "--n", 512, "--k", 256, "--seed", 0,
+                    "--sparsity", "200,256", "--method", "mc", "--trials", 40,
+                    "--mc-seed", 0, "--threads", threads, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_nets_build_table_and_reverify(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     table = tmp_path / "table.csv"
@@ -180,6 +193,18 @@ def test_nets_build_table_and_reverify(tmp_path, capsys):
     assert run(["nets", "--verify", net_file, "--probes", 2000, "--seed", 1]) == 0
     info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert info["separated"]
+
+
+@pytest.mark.parametrize("epsilon", [[], ["--epsilon", 0.25]], ids=["implied", "matching"])
+def test_nets_difference_table_reports_the_nets_epsilon(tmp_path, epsilon):
+    # a difference net always has epsilon 0.5 * radius; --epsilon may only repeat it
+    table = tmp_path / "table.csv"
+    assert run(["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
+                *epsilon, "--probes", 600, "--out", tmp_path / "net.json",
+                "--table", table]) == 0
+    fields = table.read_text().strip().splitlines()[1].split(",")
+    assert fields[:3] == ["difference", "4", "0.25"]
+    assert json.loads((tmp_path / "net.json").read_text())["epsilon"] == 0.25
 
 
 def test_nets_corrupt_json_exit_2(tmp_path):
@@ -307,11 +332,14 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
      "invalid parameters:"),
     (None, ["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", "nan"],
      "invalid parameters:"),
+    (None, ["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
+            "--epsilon", "nan"], "usage error:"),
     (None, UUP + ["--lam", "nan"], "invalid parameters:"),
     (None, RECON + ["--radius", "nan"], "invalid parameters: radius"),
     (None, RECON + ["--radius", "inf"], "invalid parameters: radius"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
-        "uup-seed", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan", "uup-lam-nan",
+        "uup-seed", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
+        "nets-difference-epsilon-nan", "uup-lam-nan",
         "recon-radius-nan", "recon-radius-inf"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):
     if config is not None:

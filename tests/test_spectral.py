@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -50,6 +51,32 @@ def test_reports_do_not_depend_on_chunking(run, monkeypatch):
     whole = run(m)
     monkeypatch.setattr(spectral, "_GATHER_DOUBLES", 7 * 3 * 3)
     assert run(m) == whole
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: rip_exact(m, 3),
+    lambda m: rip_monte_carlo(m, 3, trials=500, seed=2),
+], ids=["exact", "monte-carlo"])
+@pytest.mark.parametrize("cores", [1, 8])
+def test_reports_do_not_depend_on_core_count(run, cores, monkeypatch):
+    # chunks of 16 supports: 120 exact supports and 500 trials make at least
+    # 8 chunks, so the stack is split over one worker per core
+    m = generate(EnsembleSpec("gaussian", n=10, k=6, seed=3))
+    whole = run(m)
+    budget = 16 * 3 * 3
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        stacks.append(a.size)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", budget)
+    monkeypatch.setattr(spectral, "available_cores", lambda: cores)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert run(m) == whole
+    assert sum(stacks) == 9 * (120 if whole.trials is None else 500)
+    assert max(stacks) <= budget // cores    # doubles in flight stay within one chunk
 
 
 def test_gram_eigs_identity_blocks():
@@ -189,6 +216,41 @@ def test_fisher_yates_prefix_matches_sequential_draws(n, m):
             arr[j], arr[swap] = arr[swap], arr[j]
         assert np.array_equal(fisher_yates_prefix(philox(9, "fy-seq", n, m, t), n, m),
                               arr[:m])
+
+
+@pytest.mark.parametrize("n,m", [(12, 1), (12, 12), (512, 256)])
+def test_fisher_yates_rows_equal_one_row_draws(n, m):
+    # rip_monte_carlo shuffles all trials at once; each row must be the
+    # shuffle that the trial's own stream gives alone
+    def streams():
+        return [philox(9, "fy-rows", n, m, t) for t in range(50)]
+
+    offsets = np.stack([spectral._fisher_yates_offsets(rng, n, m) for rng in streams()])
+    rows = spectral._fisher_yates_rows(offsets, n)
+    for row, rng in zip(rows, streams()):
+        assert np.array_equal(row, fisher_yates_prefix(rng, n, m))
+
+
+# Reports recorded with one Fisher-Yates loop per trial and the eigenvalue
+# stack evaluated serially at one BLAS thread (the witnesses of m=256 are
+# long, so that report is kept as its SHA-256).
+MC_GOLDEN = {
+    9: '{"m": 9, "theta": 0.48413120879979643, "theta_lower": 0.3806749133434122, '
+       '"theta_upper": 0.48413120879979643, "method": "monte-carlo", '
+       '"witness_min": [97, 131, 138, 232, 345, 357, 426, 431, 492], '
+       '"witness_max": [67, 170, 182, 298, 305, 357, 385, 435, 449], "trials": 600}',
+    256: "5ba6a3de9cf94126b0b6a7a14b775a1e7fece430fc30d3753bbb30a57c81fa22",
+}
+
+
+@pytest.mark.parametrize("sparsity", [9, 256])
+def test_rip_mc_reports_match_recorded(sparsity):
+    mat = generate(EnsembleSpec("bernoulli", n=512, k=256, seed=0))
+    text = rip_monte_carlo(mat, sparsity, trials=600, seed=0).to_json()
+    if sparsity == 256:
+        assert json.loads(text)["theta"] == 3.12355830033607
+        text = hashlib.sha256(text.encode()).hexdigest()
+    assert text == MC_GOLDEN[sparsity]
 
 
 def test_rip_mc_supports_are_prefixes_of_one_stream(monkeypatch):

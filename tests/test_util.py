@@ -87,3 +87,33 @@ def test_nested_blas_caps_in_workers_restore_the_count():
         sys.setswitchinterval(interval)
         set_(before)
     assert pooled == [build(item) for item in items]
+
+
+@needs_openblas
+def test_blas_caps_from_plain_threads_hold_until_the_last_block_closes():
+    # eigenvalue stacks cap BLAS at one thread from whatever thread calls
+    # them; a block that closes must not lift the cap of one still open
+    get, set_ = _util._openblas_threads()
+    before = get()
+    interval = sys.getswitchinterval()
+    seen = []
+
+    def loop():
+        for _ in range(300):
+            with blas_threads(1):
+                seen.append(get())
+
+    threads = [threading.Thread(target=loop) for _ in range(6)]
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+    assert len(seen) == 6 * 300 and set(seen) == {1}
