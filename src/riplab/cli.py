@@ -256,8 +256,11 @@ def cmd_nets(args) -> int:
         if eps is not None and eps != 0.5 * args.radius:
             raise UsageError("--construct difference builds epsilon = 0.5 * radius; "
                              f"--epsilon {eps} does not match --radius {args.radius}")
+        if args.ambient is not None:
+            raise UsageError("--construct difference always covers a sparse ball; "
+                             "drop --ambient")
         net = difference_set_net(args.n, args.m, args.radius, args.seed,
-                                 budget=args.budget)
+                                 budget=args.budget, stall_limit=args.stall_limit)
         bound = sparse_net_bound(args.n, min(2 * args.m, args.n), 0.5)
     net = certify_cover(net, args.probes, args.seed)
     atomic_write_text(args.out, net_to_json(net))

@@ -228,14 +228,6 @@ def _psi2_of_samples(z: np.ndarray) -> float:
     return hi
 
 
-def psi2_direction_estimate(spec: EnsembleSpec, y: np.ndarray, samples: int) -> float:
-    """Empirical psi2 norm of <X, y>/|y| from ``samples`` fresh rows."""
-    y = np.asarray(y, dtype=float)
-    x = sample_rows(spec.kind, spec.n, derive_seed(spec.seed, "psi2-rows"),
-                    range(samples), spec.support)
-    return _psi2_of_samples(x @ (y / np.linalg.norm(y)))
-
-
 def estimate_psi2(spec: EnsembleSpec, directions: int, samples: int) -> Psi2Estimate:
     """Estimate the psi2 constant and isotropy defect over random unit directions."""
     if directions < 1:

@@ -323,7 +323,7 @@ def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,
 
 
 def difference_set_net(n: int, m: int, r: float, seed: int,
-                       budget: float = 2e6) -> Net:
+                       budget: float = 2e6, stall_limit: int | None = None) -> Net:
     """Scaled half-cover whose doubled hull swallows the sparse difference body.
 
     Returns r * L where L is a 1/2-cover of the 2m-sparse unit ball; the
@@ -333,7 +333,8 @@ def difference_set_net(n: int, m: int, r: float, seed: int,
     """
     if not (0.0 < r <= 1.0):
         raise InvalidSpecError("need 0 < r <= 1")
-    inner = sparse_set_net(n, min(2 * m, n), 0.5, "ball", seed, budget)
+    inner = sparse_set_net(n, min(2 * m, n), 0.5, "ball", seed, budget,
+                           stall_limit=stall_limit)
     return Net(points=r * inner.points, epsilon=0.5 * r,
                ambient=BallDescriptor.sparse_ball(n, min(2 * m, n), radius=r),
                certified_separated=inner.certified_separated,

@@ -423,7 +423,7 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
 @dataclass(frozen=True)
 class UpperBoundCertificate:
     certified: bool
-    rho: float
+    rho: float                    # a radius: every kernel vector in the ball has |z| <= rho
     theta: float
     sphere_cover_size: int
     hull_net_size: int
@@ -437,9 +437,10 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
                           theta: float = 0.5, seed: int = 0,
                           net_budget: float = 2e6,
                           stall_limit: int | None = 20_000) -> UpperBoundCertificate:
-    """Per-instance certificate that diam(ker(G~) cap ball) <= rho.
+    """Per-instance certificate that ker(G~) cap ball lies in rho * B_2.
 
-    Builds a theta/5-cover of the rescaled sphere slice of the ball through
+    rho is a radius, not a diameter: the diameter is at most 2 rho.  Builds
+    a theta/5-cover of the rescaled sphere slice of the ball through
     sparse truncation, plus a scaled hull net for the difference body, and
     checks the realized matrix on both.  When every condition holds, no
     kernel vector of the ball can exceed norm rho (the near-isometry lower

@@ -19,7 +19,7 @@ from riplab._util import parallel_map, philox
 from riplab.concentration import _squared_images
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate
 from riplab.errors import BudgetError
-from riplab.geometry import (BallDescriptor, block_norm_witness,
+from riplab.geometry import (BallDescriptor, hull_inclusion_check,
                              sample_unit_cap, truncation_cover_point,
                              truncation_error_bound, weak_lp_cap_radius)
 from riplab.nets import (certify_cover, greedy_separated_net, hull_decompose,
@@ -139,14 +139,22 @@ def test_criterion_3_rip_oracle_equivalence():
 # -- 4 ----------------------------------------------------------------------
 
 def _max_passing_sparsity(mat, theta, trials, seed):
+    """Largest m whose sampled theta stays <= theta: doubling, then bisection.
+
+    Each trial's support at m is a prefix of its support at m + 1, so by
+    Cauchy interlacing the sampled theta cannot fall as m grows, and every
+    search order finds the same m.  Doubling from 1 keeps the search far
+    from min(k, n), where one call costs the most.
+    """
     def ok(m):
         return rip_monte_carlo(mat, m, trials, seed).theta <= theta
 
-    if not ok(1):
-        return 0
-    lo, hi = 1, min(mat.k, mat.n)
-    if ok(hi):
-        return hi
+    top = min(mat.k, mat.n)
+    lo, hi = 0, 1
+    while ok(hi):
+        if hi == top:
+            return top
+        lo, hi = hi, min(2 * hi, top)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -238,15 +246,9 @@ def test_criterion_7_hull_inclusions():
     start = time.perf_counter()
     n, m, p = 12, 3, 0.5
     probes = 100_000
-    cap = BallDescriptor.weak_lp_ball(n, p, radius=weak_lp_cap_radius(p, m))
-    worst = 0.0
-    rng = philox(7, "acc7-weak")
-    for _ in range(probes):
-        worst = max(worst, block_norm_witness(sample_unit_cap(rng, cap, 1)[0], m))
-    rng = philox(7, "acc7-l1")
-    l1 = BallDescriptor.l1_ball(n, math.sqrt(m))
-    for _ in range(probes):
-        worst = max(worst, block_norm_witness(sample_unit_cap(rng, l1, 1)[0], m))
+    # r*B_{p,inf} cap B_2 with the paired radius, and sqrt(m)*B_1 cap B_2
+    worst = max(hull_inclusion_check("weak-lp", n, m, probes, seed=7, p=p).max_block_sum,
+                hull_inclusion_check("l1", n, m, probes, seed=7).max_block_sum)
     # hull membership cross-check, exact LP verdicts at n <= 6
     n6, m6 = 6, 2
     net = sparse_set_net(n6, m6, 0.5, "ball", seed=77, stall_limit=20_000)

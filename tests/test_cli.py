@@ -207,6 +207,17 @@ def test_nets_difference_table_reports_the_nets_epsilon(tmp_path, epsilon):
     assert json.loads((tmp_path / "net.json").read_text())["epsilon"] == 0.25
 
 
+def test_nets_difference_passes_the_stall_limit(tmp_path, capsys):
+    # --stall-limit reaches the inner greedy net; at 20 000 it grows to a cover
+    table = tmp_path / "table.csv"
+    assert run(["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
+                "--stall-limit", 20_000, "--out", tmp_path / "net.json",
+                "--table", table]) == 0
+    fields = table.read_text().strip().splitlines()[1].split(",")
+    assert fields[3] == "78" and fields[6] == "1"
+    assert "cover probe pass" in capsys.readouterr().out
+
+
 def test_nets_corrupt_json_exit_2(tmp_path):
     bad = tmp_path / "net.json"
     bad.write_text("{not json")
@@ -334,12 +345,14 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
      "invalid parameters:"),
     (None, ["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
             "--epsilon", "nan"], "usage error:"),
+    (None, ["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
+            "--ambient", "ball"], "usage error:"),
     (None, UUP + ["--lam", "nan"], "invalid parameters:"),
     (None, RECON + ["--radius", "nan"], "invalid parameters: radius"),
     (None, RECON + ["--radius", "inf"], "invalid parameters: radius"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
         "uup-seed", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
-        "nets-difference-epsilon-nan", "uup-lam-nan",
+        "nets-difference-epsilon-nan", "nets-difference-ambient", "uup-lam-nan",
         "recon-radius-nan", "recon-radius-inf"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):
     if config is not None:
