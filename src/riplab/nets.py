@@ -9,12 +9,21 @@ Separation certificates are exact: a float32 scan of the upper triangle
 of the pair matrix keeps every pair within a stated rounding-error margin
 of the minimum, and those pairs are recomputed in float64.  Cover
 certificates are statistical (random probes) and carry the probe count.
+
+Greedy construction filters candidates in two stages.  A grid of cells of
+[-1, 1]^dim marks each cell that lies wholly inside the ball of radius
+eps sqrt(1 - 1e-9) about one accepted point; a candidate in a marked cell
+fails the exact float64 test and is rejected by one lookup.  The rest go
+through the float32 kernel, whose margins send every borderline candidate
+to the exact test.  Neither stage can reject a candidate the exact test
+accepts, so the nets are the ones the exact test alone would build.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +32,8 @@ import numpy as np
 from ._util import blas_threads, philox
 from .errors import BudgetError, CoverViolationError, InvalidSpecError
 from .geometry import BallDescriptor, sample_ambient_batch
+
+log = logging.getLogger("riplab")
 
 
 @dataclass(frozen=True)
@@ -145,10 +156,86 @@ def _ambient_descriptor(kind: str, dim: int) -> BallDescriptor:
 
 
 _GREEDY_BATCH = 512   # fixed: the candidate stream layout is part of determinism
+_GREEDY_GROUP = 8     # most draws in one filter call, reached after empty calls
+_GRID_CELLS = 1 << 20  # most cells in a covered-cell grid
+_GRID_SLACK = 1e-9    # relative shrink of eps^2 and absolute padding of a cell
+
+
+class _CoverGrid:
+    """Cells of [-1, 1]^dim that lie wholly within eps of one accepted point.
+
+    The cell side h is eps / (4 sqrt(dim)), or larger when that needs more
+    than ``_GRID_CELLS`` cells; a border of floor(eps/h) + 1 cells keeps
+    every stencil index in range.  A point marks cells at two offset sets
+    from its home cell: the *sure* stencil, covered wherever the point
+    sits in that cell, and the *ring* of offsets that only the best case
+    admits, each tested from the point to its far corner.  Every cell is
+    padded by ``_GRID_SLACK`` against the rounding of the index, so a
+    marked cell lies inside the closed ball of radius
+    eps sqrt(1 - _GRID_SLACK) about one point, and every candidate in it
+    fails the exact test |c - p|^2 > eps^2.
+    """
+
+    def __init__(self, side: float, reach: int, shape: tuple, limit: float,
+                 sure: np.ndarray, ring: np.ndarray):
+        self.side = side
+        self.border = reach + 1
+        self.limit = limit
+        self.shape = shape
+        self.strides = np.cumprod((1,) + shape[:0:-1])[::-1].astype(np.intp)
+        self.marked = np.zeros(math.prod(shape), dtype=bool)
+        self.sure = sure @ self.strides
+        self.ring = ring @ self.strides
+        self.ring_axes = [ring[:, a] + reach for a in range(ring.shape[1])]
+        self.steps = np.arange(-reach, reach + 1) * side   # offset cell edges
+        # points per marking chunk: ring temporaries stay near 2^20 doubles
+        self.chunk = max(1, (1 << 20) // max(1, ring.size))
+
+    @classmethod
+    def fit(cls, dim: int, epsilon: float) -> _CoverGrid | None:
+        """The grid for (dim, eps), or None when no cell fits in an eps-ball."""
+        limit = epsilon * epsilon * (1.0 - _GRID_SLACK)
+        cells = round(_GRID_CELLS ** (1.0 / dim))   # most cells per axis
+        if cells ** dim > _GRID_CELLS:
+            cells -= 1
+        if cells <= 4:
+            return None
+        # floor(2/h) + 2 floor(eps/h) + 4 <= cells
+        side = max(epsilon / (4.0 * math.sqrt(dim)), (2.0 + 2.0 * epsilon) / (cells - 4))
+        if dim * (side + 2.0 * _GRID_SLACK) ** 2 > limit:
+            return None
+        reach = int(epsilon / side)
+        shape = (int(2.0 / side) + 2 * reach + 4,) * dim
+        offsets = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+        worst = np.sum(((np.abs(offsets) + 1) * side + 2.0 * _GRID_SLACK) ** 2, axis=1)
+        best = np.sum(np.where(offsets == 0, 0.5, np.abs(offsets)) ** 2, axis=1) * side ** 2
+        sure = worst <= limit
+        return cls(side, reach, shape, limit, offsets[sure], offsets[~sure & (best <= limit)])
+
+    def _home(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flat index of each row's cell, row position inside that cell)."""
+        k = np.floor((x + 1.0) / self.side)
+        return (k.astype(np.intp) + self.border) @ self.strides, (x + 1.0) - k * self.side
+
+    def uncovered(self, cand: np.ndarray) -> np.ndarray:
+        """Indices of the candidates outside every marked cell."""
+        return np.flatnonzero(~self.marked[self._home(cand)[0]])
+
+    def mark(self, points: np.ndarray) -> None:
+        """Mark the cells that lie within eps of one of the points."""
+        home, pos = self._home(points)
+        self.marked[(home[:, None] + self.sure).ravel()] = True
+        for lo in range(0, len(points), self.chunk):
+            # squared far-corner gap per (point, axis, offset), summed over
+            # the axes of each ring offset
+            r = pos[lo:lo + self.chunk, :, None]
+            far = (np.maximum(r - self.steps, self.steps + self.side - r) + _GRID_SLACK) ** 2
+            hit = sum(far[:, a, idx] for a, idx in enumerate(self.ring_axes)) <= self.limit
+            self.marked[(home[lo:lo + self.chunk, None] + self.ring)[hit]] = True
 
 
 def _far_candidates(cand: np.ndarray, cols: np.ndarray, eps2_lo: float,
-                    eps2_hi: float, chunk: int = 4096):
+                    eps2_hi: float, chunk: int | None = None):
     """Float32 pre-filter: (surviving indices, needs-exact-check flags).
 
     Scans the candidates against the net's kernel columns in float32.  A
@@ -157,9 +244,11 @@ def _far_candidates(cand: np.ndarray, cols: np.ndarray, eps2_lo: float,
     one in between survives but must be re-checked in float64.  With the
     margins of ``_kernel_error`` these verdicts equal the exact float64
     test, so the margins only decide which candidates are re-checked.  Net
-    points are scanned in chunks, and dropped candidates leave the scan
-    early.
+    points are scanned in chunks (by default of 2^21 products), and dropped
+    candidates leave the scan early.
     """
+    if chunk is None:
+        chunk = max(1, (1 << 21) // max(1, cand.shape[0]))
     rows = _kernel_rows(cand)
     csq = np.einsum("ij,ij->i", cand, cand)
     near_margin = np.zeros(cand.shape[0], dtype=bool)
@@ -182,6 +271,13 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     against the volumetric packing bound (1 + 2/eps)^dim.  The candidate
     stream runs with BLAS capped at one thread, which is process-global
     (see ``_util.blas_threads``).
+
+    Candidates in a cell of the covered-cell grid are rejected by one
+    lookup; the rest go to the float32 kernel and the exact re-checks.
+    After a filter call that accepts nothing, the next one takes twice as
+    many ``_GREEDY_BATCH``-row draws, up to ``_GREEDY_GROUP``; an acceptance
+    sets it back to one.  Neither changes the stream, the verdicts or the
+    stall count.
     """
     if not 0.0 < epsilon <= 2.0:
         raise InvalidSpecError("need 0 < epsilon <= 2")
@@ -199,13 +295,20 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     # float32 filter margins; only borderline candidates get exact checks
     margin = _kernel_error(dim)
     eps2_lo, eps2_hi = eps2 - margin, eps2 + margin
-    rejections = 0
+    grid = _CoverGrid.fit(dim, epsilon)
+    group = 1
+    rejections = drawn = kernel_rows = rechecked = 0
     # the kernel's products are (512, dim+1) @ (dim+1, count): too thin to gain
     # from BLAS threads, whose hand-offs stall when the cores are busy
     with blas_threads(1):
         while rejections < stall_limit:
-            cand = sample_ambient_batch(rng, descriptor, _GREEDY_BATCH)
-            far, borderline = _far_candidates(cand, cols[:, :count], eps2_lo, eps2_hi)
+            cand = np.concatenate([sample_ambient_batch(rng, descriptor, _GREEDY_BATCH)
+                                   for _ in range(group)])
+            rows = np.arange(len(cand)) if grid is None else grid.uncovered(cand)
+            far, borderline = _far_candidates(cand[rows], cols[:, :count], eps2_lo, eps2_hi)
+            far = rows[far]
+            drawn += len(cand)
+            kernel_rows += len(rows)
             # sequential accounting, but numpy work only on the filter survivors
             batch_start = count
             cursor = -1
@@ -217,6 +320,7 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
                 c = cand[i]
                 ok = True
                 if needs_exact and batch_start:
+                    rechecked += 1
                     diffs = pts[:batch_start] - c
                     ok = float(np.min(np.einsum("ij,ij->i", diffs, diffs))) > eps2
                 if ok and count > batch_start:
@@ -233,9 +337,17 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
                 else:
                     rejections += 1
             else:
-                rejections += _GREEDY_BATCH - 1 - cursor
+                rejections += len(cand) - 1 - cursor
             if count > batch_start:
                 cols[:, batch_start:count] = _kernel_cols(pts[batch_start:count])
+                if grid is not None:
+                    grid.mark(pts[batch_start:count])
+                group = 1
+            else:
+                group = min(2 * group, _GREEDY_GROUP)
+    log.debug("greedy net dim=%d eps=%g: %d candidates drawn, %d rejected by the "
+              "cell grid, %d to the float32 kernel, %d re-checked exactly",
+              dim, epsilon, drawn, drawn - kernel_rows, kernel_rows, rechecked)
     points = pts[:count].copy()
     bound = volumetric_bound(dim, epsilon)
     assert points.shape[0] <= bound, (
@@ -272,8 +384,9 @@ def cover_check(net: Net, probes: int, seed: int) -> CoverCheckResult:
     while done < probes:
         take = min(_COVER_CHUNK, probes - done)
         block = sample_ambient_batch(rng, net.ambient, take)
-        d2 = (np.sum(block * block, axis=1)[:, None] + sq[None, :]
-              - 2.0 * block @ pts.T)
+        # |b|^2 + |p|^2 - 2 b.p, written into the product: two blocks alive, not three
+        d2 = 2.0 * block @ pts.T
+        np.subtract(np.sum(block * block, axis=1)[:, None] + sq[None, :], d2, out=d2)
         nearest = np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
         worst = max(worst, float(nearest.max()))
         done += take

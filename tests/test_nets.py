@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from riplab._util import philox
 from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
                            UnsupportedAmbientError)
 from riplab.geometry import BallDescriptor, sample_ambient_batch, top_m_l2
-from riplab.nets import (Net, _far_candidates, _kernel_cols, _kernel_error,
+from riplab import nets as nets_module
+from riplab.nets import (Net, _CoverGrid, _far_candidates, _kernel_cols, _kernel_error,
                          certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
                          min_pairwise_distance, net_from_json, net_to_json,
@@ -439,3 +441,94 @@ def test_far_candidates_margins_match_exact_test(dim):
     assert np.array_equal(kept[designed == 3], exact[designed == 3])
     assert not np.any(rechecked[designed == 3])
     assert np.all(rechecked[designed == 12])
+
+
+# sha256 over points.tobytes() and repr(min_pairwise) of criterion 2's
+# eight nets (seed 7, dims 1-4, eps 0.3 and 0.5 at stall limits 150 000 and
+# 400 000), recorded before the covered-cell grid and the grouped draws
+LONG_NET_GOLDEN = "03cf7cbcfa75106eba00cb003f82a6a81c656dff975e14b3d1315569e30b22a1"
+
+
+@pytest.mark.parametrize("group", [None, 1], ids=["grouped", "ungrouped"])
+def test_long_greedy_nets_bytes_golden(group, monkeypatch):
+    if group is not None:
+        monkeypatch.setattr(nets_module, "_GREEDY_GROUP", group)
+    stalls = {0.3: 150_000, 0.5: 400_000}
+    h = hashlib.sha256()
+    for dim in (1, 2, 3, 4):
+        for eps in (0.3, 0.5):
+            net = greedy_separated_net(dim, eps, "ball", seed=7, stall_limit=stalls[eps])
+            h.update(net.points.tobytes())
+            h.update(repr(net.min_pairwise).encode())
+    assert h.hexdigest() == LONG_NET_GOLDEN
+
+
+def _exact_separated(cands, points, eps2):
+    """The greedy filter's float64 verdict: farther than eps from every point."""
+    return np.array([np.min(np.einsum("ij,ij->i", points - c, points - c)) > eps2
+                     for c in cands])
+
+
+@pytest.mark.parametrize("dim,eps,ambient", [(1, 0.3, "ball"), (2, 0.3, "ball"),
+                                             (4, 0.5, "ball"), (3, 0.4, "sphere")])
+def test_cover_grid_rejects_only_exact_rejections(dim, eps, ambient):
+    """Marked cells lie within eps of one net point; nothing in them passes."""
+    eps2 = eps * eps
+    net = greedy_separated_net(dim, eps, ambient, seed=31, stall_limit=2000).points
+    grid = _CoverGrid.fit(dim, eps)
+    grid.mark(net)
+    rng = philox(31, "cover-grid", dim, ambient)
+    # candidates at squared distance eps^2 (1 +- 10^-j) from net points
+    cands = []
+    for j in range(1, 13):
+        for sign in (1.0, -1.0):
+            v = rng.standard_normal((64, dim))
+            r = eps * math.sqrt(1.0 + sign * 10.0 ** -j)
+            cands.append(net[rng.integers(len(net), size=64)]
+                         + r * v / np.linalg.norm(v, axis=1, keepdims=True))
+    cands = np.concatenate(cands)
+    covered = np.ones(len(cands), dtype=bool)
+    covered[grid.uncovered(cands)] = False
+    assert not np.any(covered & _exact_separated(cands, net, eps2))
+    # every marked cell: its far corner from some net point is inside the
+    # shrunken ball, and uniform points drawn in it are all grid rejections
+    cells = np.flatnonzero(grid.marked)
+    lo = -1.0 + (np.stack(np.unravel_index(cells, grid.shape), axis=1)
+                 - grid.border) * grid.side
+    far2 = np.full(len(cells), np.inf)
+    for p in net:
+        far = np.maximum(np.abs(lo - p), np.abs(lo + grid.side - p))
+        far2 = np.minimum(far2, np.einsum("ij,ij->i", far, far))
+    assert np.all(far2 <= eps2 * (1.0 - 1e-9))
+    inside = lo + grid.side * rng.uniform(size=lo.shape)
+    assert grid.uncovered(inside).size == 0
+    assert not np.any(_exact_separated(inside, net, eps2))
+    # the grid is not vacuous: it rejects most ambient draws the exact test rejects
+    probes = sample_ambient_batch(rng, nets_module._ambient_descriptor(ambient, dim), 4096)
+    by_grid = len(probes) - grid.uncovered(probes).size
+    assert by_grid >= 0.8 * np.sum(~_exact_separated(probes, net, eps2))
+
+
+def _greedy_counts(caplog, *args, **kwargs):
+    """(drawn, grid rejections, kernel rows, exact re-checks) from the DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="riplab"):
+        net = greedy_separated_net(*args, **kwargs)
+    (line,) = [r.getMessage() for r in caplog.records if "candidates drawn" in r.getMessage()]
+    return net, [int(w) for w in line.split(":", 1)[1].split() if w.isdigit()]
+
+
+def test_greedy_without_grid_sends_every_candidate_to_the_kernel(caplog):
+    assert _CoverGrid.fit(6, 0.25) is None
+    net, (drawn, gridded, kernel, rechecked) = _greedy_counts(
+        caplog, 6, 0.25, "ball", seed=0, stall_limit=100)
+    assert gridded == 0 and kernel == drawn and drawn % 512 == 0
+    assert len(net) > 100 and 0 <= rechecked <= kernel
+
+
+def test_greedy_logs_grid_and_kernel_counts(caplog):
+    net, (drawn, gridded, kernel, rechecked) = _greedy_counts(
+        caplog, 3, 0.3, "ball", seed=7, stall_limit=150_000)
+    assert len(net) == 150
+    assert drawn == gridded + kernel and drawn % 512 == 0
+    assert gridded > kernel > rechecked >= 0
