@@ -4,6 +4,11 @@ The probability space is over fresh matrices (one per trial), matching
 the hypothesis being tested: the row-normalized operator preserves the
 norm of each fixed vector in expectation and concentrates around it at
 an exponential rate in k.
+
+Matrices are drawn in chunks of ``MATRIX_CHUNK``, each from its own
+counter stream, and the chunks run on every core the process may use.
+Per-chunk results are combined in chunk order, so reports do not depend
+on the core count.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import philox
+from ._util import available_cores, blas_threads, parallel_map, philox
 from .ensembles import MATRIX_CHUNK, EnsembleSpec, sample_matrix_chunk
 from .errors import InvalidSpecError
 
@@ -59,15 +64,35 @@ class TailReport:
         return "\n".join(lines) + "\n"
 
 
+def _map_chunks(spec: EnsembleSpec, trials: int, seed: int, fn) -> list:
+    """fn(lo, block) over the matrix chunks of ``trials`` trials, in chunk order.
+
+    ``lo`` is a chunk's first trial and ``block`` its (count, k, n) stack.
+    Each chunk index owns its own counter stream, so the chunks run on
+    min(cores, chunks) pool workers at one BLAS thread, and each result
+    depends only on its chunk, the same for every core count.
+    """
+    starts = range(0, trials, MATRIX_CHUNK)
+
+    def one(idx):
+        lo = starts[idx]
+        return fn(lo, sample_matrix_chunk(spec, seed, idx, min(MATRIX_CHUNK, trials - lo)))
+
+    with blas_threads(1):
+        return parallel_map(one, range(len(starts)),
+                            threads=min(available_cores(), len(starts)))
+
+
 def _squared_images(spec: EnsembleSpec, x: np.ndarray, trials: int,
                     seed: int) -> np.ndarray:
     """|G~ x|^2 over ``trials`` fresh matrices drawn from ``spec``'s ensemble."""
     vals = np.empty(trials)
-    for idx, lo in enumerate(range(0, trials, MATRIX_CHUNK)):
-        take = min(MATRIX_CHUNK, trials - lo)
-        block = sample_matrix_chunk(spec, seed, idx, take)
+
+    def chunk(lo, block):
         z = block @ x
-        vals[lo:lo + take] = np.sum(z * z, axis=1) / spec.k
+        vals[lo:lo + len(block)] = np.sum(z * z, axis=1) / spec.k
+
+    _map_chunks(spec, trials, seed, chunk)
     return vals
 
 
@@ -76,23 +101,30 @@ def expectation_check(spec: EnsembleSpec, directions: int, trials: int,
     """Max over unit directions of |mean |G~ x|^2 - 1| over fresh matrices.
 
     Directions are random by default; pass ``direction_vectors`` (columns)
-    to test specific ones, e.g. coordinate vectors.
+    to test specific ones, e.g. coordinate vectors.  Columns that are zero
+    or not finite raise InvalidSpecError.
     """
     if trials < 100:
         raise InvalidSpecError("trials must be >= 100")
     if direction_vectors is not None:
         ys = np.asarray(direction_vectors, dtype=float)
+        if ys.ndim != 2 or ys.shape[0] != spec.n:
+            raise InvalidSpecError(f"direction vectors must be ({spec.n}, d) columns")
+        if not np.isfinite(ys).all() or not ys.any(axis=0).all():
+            raise InvalidSpecError("direction vectors must be finite and nonzero")
         directions = ys.shape[1]
     else:
         rng = philox(seed, "expectation-directions")
         ys = rng.standard_normal((spec.n, directions))
     ys = ys / np.linalg.norm(ys, axis=0)
-    sums = np.zeros(directions)
-    for idx, lo in enumerate(range(0, trials, MATRIX_CHUNK)):
-        take = min(MATRIX_CHUNK, trials - lo)
-        block = sample_matrix_chunk(spec, seed, idx, take)
+
+    def chunk(lo, block):
         z = np.einsum("tkn,nd->tkd", block, ys)
-        sums += np.sum(np.sum(z * z, axis=1) / spec.k, axis=0)
+        return np.sum(np.sum(z * z, axis=1) / spec.k, axis=0)
+
+    sums = np.zeros(directions)
+    for part in _map_chunks(spec, trials, seed, chunk):   # in chunk order: same bits
+        sums += part
     return float(np.max(np.abs(sums / trials - 1.0)))
 
 
@@ -105,8 +137,14 @@ def tail_profile(spec: EnsembleSpec, x: np.ndarray, trials: int,
     excluded (recorded) to avoid log-of-noise instability.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (spec.n,):
+        raise InvalidSpecError(f"x must have shape ({spec.n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidSpecError("x must be finite")
     if not np.any(x):
         raise InvalidSpecError("x must be nonzero")
+    if trials < 1:
+        raise InvalidSpecError("trials must be >= 1")
     if any(not (0.0 < t <= 1.0) for t in t_grid):
         raise InvalidSpecError("t grid must lie in (0, 1]")
     xsq = float(x @ x)

@@ -8,7 +8,9 @@ Gaussian widths.
 Separation certificates are exact: a float32 scan of the upper triangle
 of the pair matrix keeps every pair within a stated rounding-error margin
 of the minimum, and those pairs are recomputed in float64.  Cover
-certificates are statistical (random probes) and carry the probe count.
+certificates are statistical (random probes) and carry the probe count;
+each draw of probes is compared with the net in row slabs of at most
+1 MiB of distances, whatever the net's size.
 
 Greedy construction filters candidates in two stages.  A grid of cells of
 [-1, 1]^dim marks each cell that lies wholly inside the ball of radius
@@ -366,29 +368,39 @@ class CoverCheckResult:
 
 
 _COVER_CHUNK = 4096   # fixed: probe stream layout is part of determinism
+_COVER_SLAB = 1 << 17  # doubles (1 MiB) in one slab of the probe-to-net distances
 
 
 def cover_check(net: Net, probes: int, seed: int) -> CoverCheckResult:
     """Probe the ambient set; pass iff every probe is within eps of the net.
 
     A statistical certificate: it bounds the cover radius only at the
-    sampled points.
+    sampled points.  Each draw of up to ``_COVER_CHUNK`` probes is scanned
+    in row slabs of at most ``_COVER_SLAB`` squared distances, so memory
+    stays near 1 MiB whatever the net's size.  Each distance is computed
+    by the same expression in any slab, and the minimum and maximum are
+    exact, so the result does not depend on the slab size.
     """
     if probes < 1:
         raise InvalidSpecError("probes must be >= 1")
-    rng = philox(seed, "cover-check")
     pts = net.points
+    if not np.isfinite(pts).all():
+        raise InvalidSpecError("net points must be finite")
+    rng = philox(seed, "cover-check")
     sq = np.sum(pts * pts, axis=1)
+    slab = max(1, _COVER_SLAB // max(1, len(pts)))
     worst = 0.0
     done = 0
     while done < probes:
         take = min(_COVER_CHUNK, probes - done)
         block = sample_ambient_batch(rng, net.ambient, take)
-        # |b|^2 + |p|^2 - 2 b.p, written into the product: two blocks alive, not three
-        d2 = 2.0 * block @ pts.T
-        np.subtract(np.sum(block * block, axis=1)[:, None] + sq[None, :], d2, out=d2)
-        nearest = np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
-        worst = max(worst, float(nearest.max()))
+        bsq = np.sum(block * block, axis=1)
+        for lo in range(0, take, slab):
+            # |b|^2 + |p|^2 - 2 b.p, written into the product
+            d2 = 2.0 * block[lo:lo + slab] @ pts.T
+            np.subtract(bsq[lo:lo + slab, None] + sq[None, :], d2, out=d2)
+            nearest = np.sqrt(np.maximum(np.min(d2, axis=1), 0.0))
+            worst = max(worst, float(nearest.max()))
         done += take
     return CoverCheckResult(max_observed_distance=worst,
                             pass_=worst <= net.epsilon + 1e-12, probes_used=probes)
@@ -475,23 +487,32 @@ def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecompositi
     if not net.certified_cover:
         raise InvalidSpecError("hull_decompose requires a cover-certified net")
     z = np.asarray(z, dtype=float)
+    if z.shape != (net.dim,):
+        raise InvalidSpecError(f"target must have shape ({net.dim},), got {z.shape}")
+    if np.isnan(z).any():
+        raise InvalidSpecError("target must not contain NaN")
     eps = net.epsilon
+    limit = eps * (1.0 + 1e-9)
     pts = net.points
     sq = np.sum(pts * pts, axis=1)
     resid = z.copy()
     terms: list[tuple[float, int]] = []
     coeff = 1.0
+    # a round is a few small numpy calls, so the wrappers of np.argmin,
+    # np.linalg.norm and np.any cost more than their work; norm of a 1-D
+    # array is sqrt(x @ x), the bits math.sqrt gives here
     for _ in range(rounds):
         d2 = sq - 2.0 * pts @ resid + float(resid @ resid)
-        idx = int(np.argmin(d2))
-        gap = float(np.linalg.norm(resid - pts[idx]))
-        if gap > eps * (1.0 + 1e-9):
+        idx = int(d2.argmin())
+        diff = resid - pts[idx]
+        gap = math.sqrt(float(diff @ diff))
+        if gap > limit:
             raise CoverViolationError(
                 f"nearest net point at distance {gap:.3g} > eps = {eps:.3g}")
         terms.append((coeff, idx))
-        resid = (resid - pts[idx]) / eps
+        resid = diff / eps
         coeff *= eps
-        if not np.any(resid):
+        if not resid.any():
             break
     recon = np.zeros_like(z)
     for c, idx in terms:
@@ -558,7 +579,12 @@ def net_from_json(text: str) -> Net:
     points = np.array(obj["points"], dtype=float)
     if points.ndim != 2 or points.shape[1] != ambient.dim:
         raise InvalidSpecError("net points do not match the ambient dimension")
-    return Net(points=points, epsilon=float(obj["epsilon"]), ambient=ambient,
+    if not np.isfinite(points).all():
+        raise InvalidSpecError("net points must be finite")
+    epsilon = float(obj["epsilon"])
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidSpecError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return Net(points=points, epsilon=epsilon, ambient=ambient,
                certified_cover=bool(obj["certified_cover"]),
                certified_separated=bool(obj["certified_separated"]),
                probes_used=int(obj["probes_used"]))

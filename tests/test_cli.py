@@ -225,6 +225,22 @@ def test_nets_corrupt_json_exit_2(tmp_path):
     assert run(["nets", "--verify", tmp_path / "missing.json"]) == 2
 
 
+@pytest.mark.parametrize("field,value", [("point", math.nan), ("epsilon", -1.0)])
+def test_nets_verify_rejects_nan_point_and_bad_epsilon(tmp_path, capsys, field, value):
+    net_file = tmp_path / "net.json"
+    assert run(["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5,
+                "--ambient", "ball", "--seed", 4, "--probes", 500, "--out", net_file]) == 0
+    obj = json.loads(net_file.read_text())
+    if field == "point":
+        obj["points"][0][1] = value
+    else:
+        obj["epsilon"] = value
+    net_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["nets", "--verify", net_file]) == 2
+    assert "corrupt net file" in capsys.readouterr().err
+
+
 def test_nets_sparse_construction(tmp_path):
     net_file = tmp_path / "net.json"
     assert run(["nets", "--construct", "sparse", "--n", 6, "--m", 1,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from riplab import concentration
 from riplab.concentration import (C_FLOOR, TailReport, _squared_images,
                                   bernstein_psi2_consistency, expectation_check,
                                   tail_profile)
@@ -104,6 +106,49 @@ def test_tail_profile_input_validation():
         tail_profile(spec, np.zeros(4), trials=100, seed=0)
     with pytest.raises(InvalidSpecError):
         tail_profile(spec, np.ones(4), trials=100, seed=0, t_grid=(0.5, 1.5))
+
+
+def test_tail_profile_rejects_non_finite_and_misshapen_x_and_no_trials():
+    spec = EnsembleSpec("gaussian", n=4, k=2, seed=0)
+    for x in (np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0, 0.0]),
+              np.ones(5)):
+        with pytest.raises(InvalidSpecError):
+            tail_profile(spec, x, trials=100, seed=0)
+    for trials in (0, -5):
+        with pytest.raises(InvalidSpecError):
+            tail_profile(spec, np.ones(4), trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("column", [[np.nan, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                    [np.inf, 0.0, 0.0, 0.0]], ids=["nan", "zero", "inf"])
+def test_expectation_check_rejects_bad_direction_columns(column):
+    spec = EnsembleSpec("gaussian", n=4, k=2, seed=0)
+    ys = np.column_stack([np.ones(4), column])
+    with pytest.raises(InvalidSpecError):
+        expectation_check(spec, directions=2, trials=100, seed=0, direction_vectors=ys)
+    with pytest.raises(InvalidSpecError):
+        expectation_check(spec, directions=1, trials=100, seed=0,
+                          direction_vectors=np.ones(4))
+
+
+# sha256 over _squared_images, the tail report JSON and the expectation
+# bias at 1300 trials (five full matrix chunks and a partial one) for a
+# Gaussian and a Bernoulli ensemble, recorded before the chunks ran on a
+# pool
+CHUNKS_GOLDEN = "0d475cf9d31e38619668480d3827e0b7c75b8f4675d2ac8ef6a1e0daeacdd423"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_matrix_chunks_same_bits_for_every_core_count(cores, monkeypatch):
+    monkeypatch.setattr(concentration, "available_cores", lambda: cores)
+    h = hashlib.sha256()
+    for kind in ("gaussian", "bernoulli"):
+        spec = EnsembleSpec(kind, n=12, k=6, seed=31)
+        x = np.arange(1.0, 13.0) / 10.0
+        h.update(_squared_images(spec, x, 1300, seed=32).tobytes())
+        h.update(tail_profile(spec, x, 1300, seed=33).to_json().encode())
+        h.update(repr(expectation_check(spec, 3, 1300, seed=34)).encode())
+    assert h.hexdigest() == CHUNKS_GOLDEN
 
 
 def test_report_serialization():

@@ -189,6 +189,15 @@ def test_hull_decompose_geometric_residual():
         assert [c for c, _ in hd.terms] == [0.5 ** j for j in range(len(hd.terms))]
 
 
+def test_hull_decompose_rejects_nan_and_misshapen_targets():
+    net = _certified_net(2, 0.5, stall=400_000)
+    for bad in (np.array([np.nan, 0.0]), np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(InvalidSpecError):
+            hull_decompose(bad, net)
+    with pytest.raises(CoverViolationError), np.errstate(invalid="ignore"):
+        hull_decompose(np.array([np.inf, 0.0]), net)
+
+
 def test_hull_decompose_refuses_uncertified_and_detects_violations():
     net = greedy_separated_net(2, 0.5, "ball", seed=3)
     with pytest.raises(InvalidSpecError):
@@ -327,6 +336,27 @@ def test_net_json_round_trip():
     assert back.probes_used == net.probes_used
     with pytest.raises((InvalidSpecError, KeyError, json.JSONDecodeError)):
         net_from_json(net_to_json(net)[:40])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("point", math.nan), ("point", math.inf), ("epsilon", -1.0), ("epsilon", 0.0),
+    ("epsilon", math.nan), ("epsilon", math.inf)])
+def test_net_from_json_rejects_non_finite_points_and_bad_epsilon(field, value):
+    obj = json.loads(net_to_json(greedy_separated_net(2, 0.5, "ball", seed=18)))
+    if field == "point":
+        obj["points"][1][0] = value
+    else:
+        obj["epsilon"] = value
+    with pytest.raises(InvalidSpecError):
+        net_from_json(json.dumps(obj))
+
+
+def test_cover_check_rejects_non_finite_points():
+    # a NaN distance would drop out of the running maximum and pass any net
+    pts = np.array([[0.0, 0.0], [np.nan, 0.5]])
+    net = Net(points=pts, epsilon=0.1, ambient=BallDescriptor.euclidean_ball(2))
+    with pytest.raises(InvalidSpecError):
+        cover_check(net, 100, seed=0)
 
 
 def _bruteforce_min_pairwise(points):
@@ -532,3 +562,56 @@ def test_greedy_logs_grid_and_kernel_counts(caplog):
     assert len(net) == 150
     assert drawn == gridded + kernel and drawn % 512 == 0
     assert gridded > kernel > rechecked >= 0
+
+
+@pytest.fixture(scope="module")
+def criterion_2_nets():
+    """Criterion 2's eight greedy nets (seed 7, dims 1-4, eps 0.3 and 0.5)."""
+    stalls = {0.3: 150_000, 0.5: 400_000}
+    return {(dim, eps): greedy_separated_net(dim, eps, "ball", seed=7,
+                                             stall_limit=stalls[eps])
+            for dim in (1, 2, 3, 4) for eps in (0.3, 0.5)}
+
+
+# sha256 over repr(cover_check(net, 20_000, seed=202)) of criterion 2's
+# eight nets in order, then of the 1148-point sparse net of the
+# certify-nets benchmark (several distance slabs per draw, a partial last
+# slab), recorded before the probes were scanned in slabs
+COVER_CHECK_GOLDEN = "fd185746397297588e16e940cbadcefd97ec112c4359fc76b31824e9d0122243"
+
+
+def test_cover_check_results_golden(criterion_2_nets):
+    h = hashlib.sha256()
+    for net in criterion_2_nets.values():
+        h.update(repr(cover_check(net, 20_000, seed=202)).encode())
+    sparse = sparse_set_net(8, 2, 0.25, "ball", 8, stall_limit=30_000)
+    assert len(sparse) == 1148
+    h.update(repr(cover_check(sparse, 20_000, seed=202)).encode())
+    assert h.hexdigest() == COVER_CHECK_GOLDEN
+
+
+@pytest.mark.parametrize("slab", [1, 1000, 1 << 30])
+def test_cover_check_does_not_depend_on_the_slab_size(slab, monkeypatch):
+    net = sparse_set_net(6, 2, 0.5, "ball", 3)
+    whole = cover_check(net, 5000, seed=4)
+    monkeypatch.setattr(nets_module, "_COVER_SLAB", slab)
+    assert cover_check(net, 5000, seed=4) == whole
+
+
+# sha256 over repr(terms) and repr(residual_norm) of 50 decompositions on
+# criterion 2's dim-2, eps-0.5 net, recorded before the loop dropped the
+# numpy wrappers
+HULL_DECOMPOSE_GOLDEN = "5dd1fbb003e2fd29b1e570d7acb0aa83252be44a485dbc20b68fc978cdb98a7f"
+
+
+def test_hull_decompose_golden(criterion_2_nets):
+    net = certify_cover(criterion_2_nets[2, 0.5], 20_000, seed=202)
+    rng = philox(7, "hull-golden")
+    h = hashlib.sha256()
+    for _ in range(50):
+        z = rng.standard_normal(2)
+        z = z / np.linalg.norm(z) * rng.uniform() ** 0.5
+        hd = hull_decompose(z, net, rounds=20)
+        h.update(repr(hd.terms).encode())
+        h.update(repr(hd.residual_norm).encode())
+    assert h.hexdigest() == HULL_DECOMPOSE_GOLDEN
