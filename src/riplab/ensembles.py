@@ -127,10 +127,26 @@ def _raw_row(seed: int, row: int, count: int) -> np.ndarray:
 
 
 def _box_muller(raw: np.ndarray) -> np.ndarray:
-    """One standard normal per raw pair; entry j uses raws 2j and 2j+1."""
-    u1 = (np.right_shift(raw[0::2], 11) + 1).astype(np.float64) * _INV53  # (0, 1]
-    u2 = np.right_shift(raw[1::2], 11).astype(np.float64) * _INV53       # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """One standard normal per raw pair; entry j uses raws 2j and 2j+1.
+
+    Overwrites ``raw``.  The raws are shifted once, each half is converted
+    once into a contiguous array (the transcendental ufuncs take a slow path
+    on strided input), and every later step runs in place.  With s the top
+    53 bits, (s + 1) 2^-53 = s 2^-53 + 2^-53 exactly.
+    """
+    np.right_shift(raw, 11, out=raw)
+    u1 = raw[0::2].astype(np.float64)
+    u1 *= _INV53
+    u1 += _INV53                                   # (0, 1]
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 = raw[1::2].astype(np.float64)
+    u2 *= _INV53                                   # [0, 1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _entries(kind: str, draw, count: int,

@@ -189,31 +189,65 @@ CAP_TRIES = 50
 
 
 def sample_ambient_batch(rng: np.random.Generator, ball: BallDescriptor,
-                         count: int) -> np.ndarray:
-    """Uniform samples from a descriptor, one per row; raises when undefined."""
+                         count: int, per_call: int | None = None) -> np.ndarray:
+    """Uniform samples from a descriptor, one per row; raises when undefined.
+
+    The ``count`` rows come from consecutive draws of ``per_call`` rows each
+    (default ``count``: one draw; the last may be shorter), with the bits of
+    that many separate calls.  Each draw fills its rows of preallocated
+    stacks; the per-row arithmetic then runs once over the whole stack.
+    """
     fam, dim, rad = ball.family, ball.dim, ball.radius
+    if per_call is None:
+        per_call = max(count, 1)
+    elif per_call < 1:
+        raise InvalidSpecError("per_call must be >= 1")
+    draws = range(0, count, per_call)
     if fam in ("l2", "sparse-sphere", "sparse-ball"):
-        sphere_like = fam == "sparse-sphere"
         m = dim if fam == "l2" else ball.sparsity
-        g = rng.standard_normal((count, m))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        if not sphere_like:
-            g *= rng.uniform(size=(count, 1)) ** (1.0 / m)
-        g *= rad
-        if m == dim:
+        g = np.empty((count, m))
+        u = None if fam == "sparse-sphere" else np.empty((count, 1))
+        keys = None if m == dim else np.empty((count, dim))
+        for lo in draws:
+            rng.standard_normal(out=g[lo:lo + per_call])
+            # random(out=) gives the bits of uniform(size=)
+            if u is not None:
+                rng.random(out=u[lo:lo + per_call])
+            if keys is not None:
+                rng.random(out=keys[lo:lo + per_call])
+        # np.linalg.norm(g, axis=1) without its wrapper, which is
+        # add.reduce(g * g, axis=1); that sums a row shorter than 8 left to
+        # right, as the column adds do in a fifth of the time
+        sq = g * g
+        if m < 8:
+            nrm = sq[:, 0]
+            for j in range(1, m):
+                nrm = nrm + sq[:, j]
+        else:
+            nrm = np.add.reduce(sq, axis=1)
+        g /= np.sqrt(nrm)[:, None]
+        if u is not None:
+            g *= u ** (1.0 / m)
+        if rad != 1.0:
+            g *= rad
+        if keys is None:
             return g
         out = np.zeros((count, dim))
-        supports = np.argpartition(rng.random((count, dim)), m - 1, axis=1)[:, :m]
+        supports = np.argpartition(keys, m - 1, axis=1)[:, :m]
         np.put_along_axis(out, supports, g, axis=1)
         return out
     if fam == "l1":
         # Dirichlet magnitudes, random signs, radial power.  float_power keeps
         # pinned draws: it rounds as scalar pow does, and array ** does not always.
-        e = rng.standard_exponential((count, dim))
+        e = np.empty((count, dim))
+        signs = np.empty((count, dim), dtype=np.int64)
+        radial = np.empty((count, 1))
+        for lo in draws:
+            rng.standard_exponential(out=e[lo:lo + per_call])
+            signs[lo:lo + per_call] = rng.integers(0, 2, (min(per_call, count - lo), dim))
+            rng.random(out=radial[lo:lo + per_call])
         mags = e / e.sum(axis=1, keepdims=True)
-        signs = rng.integers(0, 2, (count, dim)) * 2.0 - 1.0
-        radial = np.float_power(rng.uniform(size=(count, 1)), 1.0 / dim)
-        return signs * mags * (rad * radial)
+        return (signs * 2.0 - 1.0) * mags * (rad * np.float_power(radial, 1.0 / dim))
     raise UnsupportedAmbientError(f"no uniform sampler for family {fam!r}")
 
 

@@ -12,13 +12,16 @@ certificates are statistical (random probes) and carry the probe count;
 each draw of probes is compared with the net in row slabs of at most
 1 MiB of distances, whatever the net's size.
 
-Greedy construction filters candidates in two stages.  A grid of cells of
-[-1, 1]^dim marks each cell that lies wholly inside the ball of radius
-eps sqrt(1 - 1e-9) about one accepted point; a candidate in a marked cell
-fails the exact float64 test and is rejected by one lookup.  The rest go
-through the float32 kernel, whose margins send every borderline candidate
-to the exact test.  Neither stage can reject a candidate the exact test
-accepts, so the nets are the ones the exact test alone would build.
+Greedy construction draws its candidates 512 rows per RNG call, and up to
+eight such calls in one ``sample_ambient_batch`` call, whose per-row
+arithmetic runs once over the stack.  It filters them in two stages.  A
+bool grid of at most 2^23 cells (8 MiB) of [-1, 1]^dim marks each cell
+that lies wholly inside the ball of radius eps sqrt(1 - 1e-9) about one
+accepted point; a candidate in a marked cell fails the exact float64 test
+and is rejected by one lookup.  The rest go through the float32 kernel,
+whose margins send every borderline candidate to the exact test.  Neither
+stage can reject a candidate the exact test accepts, so the nets are the
+ones the exact test alone would build.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ def _ambient_descriptor(kind: str, dim: int) -> BallDescriptor:
 
 _GREEDY_BATCH = 512   # fixed: the candidate stream layout is part of determinism
 _GREEDY_GROUP = 8     # most draws in one filter call, reached after empty calls
-_GRID_CELLS = 1 << 20  # most cells in a covered-cell grid
+_GRID_CELLS = 1 << 23  # most cells in a covered-cell grid (a bool each: 8 MiB)
 _GRID_SLACK = 1e-9    # relative shrink of eps^2 and absolute padding of a cell
 
 
@@ -167,15 +170,17 @@ class _CoverGrid:
     """Cells of [-1, 1]^dim that lie wholly within eps of one accepted point.
 
     The cell side h is eps / (4 sqrt(dim)), or larger when that needs more
-    than ``_GRID_CELLS`` cells; a border of floor(eps/h) + 1 cells keeps
-    every stencil index in range.  A point marks cells at two offset sets
-    from its home cell: the *sure* stencil, covered wherever the point
-    sits in that cell, and the *ring* of offsets that only the best case
-    admits, each tested from the point to its far corner.  Every cell is
-    padded by ``_GRID_SLACK`` against the rounding of the index, so a
-    marked cell lies inside the closed ball of radius
-    eps sqrt(1 - _GRID_SLACK) about one point, and every candidate in it
-    fails the exact test |c - p|^2 > eps^2.
+    than ``_GRID_CELLS`` = 2^23 cells: at dim 4 and eps 0.3 it is about
+    0.053; dim 5 has a grid at eps 0.3 and 0.5, dim 6 at eps 1.  The cells
+    are one bool each, allocated zeroed (lazily, by calloc).  A border of
+    floor(eps/h) + 1 cells keeps every stencil index in range.  A point
+    marks cells at two offset sets from its home cell: the *sure* stencil,
+    covered wherever the point sits in that cell, and the *ring* of
+    offsets that only the best case admits, each tested from the point to
+    its far corner.  Every cell is padded by ``_GRID_SLACK`` against the
+    rounding of the index, so a marked cell lies inside the closed ball of
+    radius eps sqrt(1 - _GRID_SLACK) about one point, and every candidate
+    in it fails the exact test |c - p|^2 > eps^2.
     """
 
     def __init__(self, side: float, reach: int, shape: tuple, limit: float,
@@ -185,6 +190,10 @@ class _CoverGrid:
         self.limit = limit
         self.shape = shape
         self.strides = np.cumprod((1,) + shape[:0:-1])[::-1].astype(np.intp)
+        # the flat index of a cell as one float matvec, border included; its
+        # terms are integers far below 2^53, so it is exact in any order
+        self.weights = self.strides.astype(np.float64)
+        self.origin = float(self.border * self.strides.sum())
         self.marked = np.zeros(math.prod(shape), dtype=bool)
         self.sure = sure @ self.strides
         self.ring = ring @ self.strides
@@ -215,9 +224,11 @@ class _CoverGrid:
         return cls(side, reach, shape, limit, offsets[sure], offsets[~sure & (best <= limit)])
 
     def _home(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(flat index of each row's cell, row position inside that cell)."""
-        k = np.floor((x + 1.0) / self.side)
-        return (k.astype(np.intp) + self.border) @ self.strides, (x + 1.0) - k * self.side
+        """(flat index of each row's cell, that cell's index along each axis)."""
+        k = x + 1.0
+        k /= self.side
+        np.floor(k, out=k)
+        return (k @ self.weights + self.origin).astype(np.intp), k
 
     def uncovered(self, cand: np.ndarray) -> np.ndarray:
         """Indices of the candidates outside every marked cell."""
@@ -225,7 +236,8 @@ class _CoverGrid:
 
     def mark(self, points: np.ndarray) -> None:
         """Mark the cells that lie within eps of one of the points."""
-        home, pos = self._home(points)
+        home, k = self._home(points)
+        pos = (points + 1.0) - k * self.side   # each point's position in its cell
         self.marked[(home[:, None] + self.sure).ravel()] = True
         for lo in range(0, len(points), self.chunk):
             # squared far-corner gap per (point, axis, offset), summed over
@@ -278,8 +290,12 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     lookup; the rest go to the float32 kernel and the exact re-checks.
     After a filter call that accepts nothing, the next one takes twice as
     many ``_GREEDY_BATCH``-row draws, up to ``_GREEDY_GROUP``; an acceptance
-    sets it back to one.  Neither changes the stream, the verdicts or the
-    stall count.
+    sets it back to one.  A filter call's draws come from one
+    ``sample_ambient_batch`` call with ``per_call=_GREEDY_BATCH``, which
+    has the bits of that many separate calls.  Neither changes the stream,
+    the verdicts or the stall count.  A DEBUG line reports the candidates
+    drawn, those rejected by the grid, those sent to the float32 kernel,
+    the exact re-checks and the cell side.
     """
     if not 0.0 < epsilon <= 2.0:
         raise InvalidSpecError("need 0 < epsilon <= 2")
@@ -304,8 +320,8 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
     # from BLAS threads, whose hand-offs stall when the cores are busy
     with blas_threads(1):
         while rejections < stall_limit:
-            cand = np.concatenate([sample_ambient_batch(rng, descriptor, _GREEDY_BATCH)
-                                   for _ in range(group)])
+            cand = sample_ambient_batch(rng, descriptor, group * _GREEDY_BATCH,
+                                        per_call=_GREEDY_BATCH)
             rows = np.arange(len(cand)) if grid is None else grid.uncovered(cand)
             far, borderline = _far_candidates(cand[rows], cols[:, :count], eps2_lo, eps2_hi)
             far = rows[far]
@@ -348,8 +364,9 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
             else:
                 group = min(2 * group, _GREEDY_GROUP)
     log.debug("greedy net dim=%d eps=%g: %d candidates drawn, %d rejected by the "
-              "cell grid, %d to the float32 kernel, %d re-checked exactly",
-              dim, epsilon, drawn, drawn - kernel_rows, kernel_rows, rechecked)
+              "cell grid, %d to the float32 kernel, %d re-checked exactly; cell side %s",
+              dim, epsilon, drawn, drawn - kernel_rows, kernel_rows, rechecked,
+              "none" if grid is None else f"{grid.side:.4g}")
     points = pts[:count].copy()
     bound = volumetric_bound(dim, epsilon)
     assert points.shape[0] <= bound, (
@@ -492,6 +509,9 @@ def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecompositi
     if np.isnan(z).any():
         raise InvalidSpecError("target must not contain NaN")
     eps = net.epsilon
+    if np.isinf(z).any():
+        # no net point is within eps; the round arithmetic would meet inf - inf
+        raise CoverViolationError(f"nearest net point at distance inf > eps = {eps:.3g}")
     limit = eps * (1.0 + 1e-9)
     pts = net.points
     sq = np.sum(pts * pts, axis=1)

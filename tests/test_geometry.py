@@ -214,6 +214,52 @@ def test_l1_sampler_and_batch_ambients():
         sample_ambient_batch(rng, BallDescriptor.weak_lp_ball(4, 0.5), 1)
 
 
+def _one_draw_reference(rng, ball, count):
+    """The sampler written out as one call: the bits a single draw must keep."""
+    fam, dim, rad = ball.family, ball.dim, ball.radius
+    if fam == "l1":
+        e = rng.standard_exponential((count, dim))
+        signs = rng.integers(0, 2, (count, dim)) * 2.0 - 1.0
+        radial = np.float_power(rng.uniform(size=(count, 1)), 1.0 / dim)
+        return signs * (e / e.sum(axis=1, keepdims=True)) * (rad * radial)
+    m = dim if fam == "l2" else ball.sparsity
+    g = rng.standard_normal((count, m))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    if fam != "sparse-sphere":
+        g *= rng.uniform(size=(count, 1)) ** (1.0 / m)
+    g *= rad
+    if m == dim:
+        return g
+    out = np.zeros((count, dim))
+    supports = np.argpartition(rng.random((count, dim)), m - 1, axis=1)[:, :m]
+    np.put_along_axis(out, supports, g, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("ball", [
+    BallDescriptor.euclidean_ball(4), BallDescriptor.euclidean_ball(4, radius=2.0),
+    BallDescriptor.euclidean_ball(9), BallDescriptor.euclidean_sphere(3),
+    BallDescriptor.sparse_ball(10, 3, radius=0.7), BallDescriptor.sparse_sphere(10, 3),
+    BallDescriptor.l1_ball(6, radius=2.0)],
+    ids=["l2", "l2-r2", "l2-dim9", "sphere", "sparse-ball", "sparse-sphere", "l1"])
+def test_grouped_draw_same_bits_as_consecutive_single_draws(ball):
+    # 512-row draws as the greedy nets make them, and a short last draw
+    sizes = (512, 512, 512, 276)
+    grouped_rng, single_rng, reference_rng = (philox(17, "grouped") for _ in range(3))
+    grouped = sample_ambient_batch(grouped_rng, ball, sum(sizes), per_call=512)
+    single = np.concatenate([sample_ambient_batch(single_rng, ball, c) for c in sizes])
+    reference = np.concatenate([_one_draw_reference(reference_rng, ball, c) for c in sizes])
+    assert grouped.shape == (sum(sizes), ball.dim)
+    assert grouped.tobytes() == single.tobytes() == reference.tobytes()
+    # all three left the stream at the same place
+    assert grouped_rng.random() == single_rng.random() == reference_rng.random()
+
+
+def test_grouped_draw_rejects_empty_calls():
+    with pytest.raises(InvalidSpecError):
+        sample_ambient_batch(philox(1, "x"), BallDescriptor.euclidean_ball(2), 10, per_call=0)
+
+
 def test_sparse_ball_scaling_identity():
     # scaling the sparse ball commutes with intersecting a smaller ball:
     # |z| <= r and m-sparse iff z in r * (unit sparse ball) iff z/r in it

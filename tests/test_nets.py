@@ -3,10 +3,12 @@ import itertools
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from riplab._util import philox
 from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
@@ -194,8 +196,10 @@ def test_hull_decompose_rejects_nan_and_misshapen_targets():
     for bad in (np.array([np.nan, 0.0]), np.zeros(3), np.zeros((1, 2))):
         with pytest.raises(InvalidSpecError):
             hull_decompose(bad, net)
-    with pytest.raises(CoverViolationError), np.errstate(invalid="ignore"):
-        hull_decompose(np.array([np.inf, 0.0]), net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoverViolationError):
+            hull_decompose(np.array([np.inf, 0.0]), net)
 
 
 def test_hull_decompose_refuses_uncertified_and_detects_violations():
@@ -525,14 +529,24 @@ def test_cover_grid_rejects_only_exact_rejections(dim, eps, ambient):
     cells = np.flatnonzero(grid.marked)
     lo = -1.0 + (np.stack(np.unravel_index(cells, grid.shape), axis=1)
                  - grid.border) * grid.side
-    far2 = np.full(len(cells), np.inf)
-    for p in net:
-        far = np.maximum(np.abs(lo - p), np.abs(lo + grid.side - p))
-        far2 = np.minimum(far2, np.einsum("ij,ij->i", far, far))
-    assert np.all(far2 <= eps2 * (1.0 - 1e-9))
     inside = lo + grid.side * rng.uniform(size=lo.shape)
+    # a cell or a point in it is within eps of a net point only if its
+    # centre is within eps plus half the cell diagonal, so only those
+    # (cell, point) pairs are evaluated; a cell in no pair keeps far2 = inf
+    reach = (eps + 0.5 * grid.side * math.sqrt(dim)) * (1.0 + 1e-9)
+    near_cells = cKDTree(lo + 0.5 * grid.side).query_ball_point(net, reach)
+    far2 = np.full(len(cells), np.inf)
+    rejected = np.zeros(len(cells), dtype=bool)
+    for p, idx in zip(net, near_cells):
+        idx = np.asarray(idx, dtype=np.intp)
+        far = np.maximum(np.abs(lo[idx] - p), np.abs(lo[idx] + grid.side - p))
+        far2[idx] = np.minimum(far2[idx], np.einsum("ij,ij->i", far, far))
+        # the float64 test of _exact_separated, restricted to the near points
+        diffs = p - inside[idx]
+        rejected[idx] |= np.einsum("ij,ij->i", diffs, diffs) <= eps2
+    assert np.all(far2 <= eps2 * (1.0 - 1e-9))
     assert grid.uncovered(inside).size == 0
-    assert not np.any(_exact_separated(inside, net, eps2))
+    assert np.all(rejected)
     # the grid is not vacuous: it rejects most ambient draws the exact test rejects
     probes = sample_ambient_batch(rng, nets_module._ambient_descriptor(ambient, dim), 4096)
     by_grid = len(probes) - grid.uncovered(probes).size
@@ -540,28 +554,41 @@ def test_cover_grid_rejects_only_exact_rejections(dim, eps, ambient):
 
 
 def _greedy_counts(caplog, *args, **kwargs):
-    """(drawn, grid rejections, kernel rows, exact re-checks) from the DEBUG line."""
+    """(net, [drawn, grid rejections, kernel rows, exact re-checks], cell side)
+    from the DEBUG line; the side is None when the net had no grid."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="riplab"):
         net = greedy_separated_net(*args, **kwargs)
     (line,) = [r.getMessage() for r in caplog.records if "candidates drawn" in r.getMessage()]
-    return net, [int(w) for w in line.split(":", 1)[1].split() if w.isdigit()]
+    counts, side = line.split(":", 1)[1].split("; cell side ")
+    return (net, [int(w) for w in counts.split() if w.isdigit()],
+            None if side == "none" else float(side))
 
 
 def test_greedy_without_grid_sends_every_candidate_to_the_kernel(caplog):
     assert _CoverGrid.fit(6, 0.25) is None
-    net, (drawn, gridded, kernel, rechecked) = _greedy_counts(
+    net, (drawn, gridded, kernel, rechecked), side = _greedy_counts(
         caplog, 6, 0.25, "ball", seed=0, stall_limit=100)
+    assert side is None
     assert gridded == 0 and kernel == drawn and drawn % 512 == 0
     assert len(net) > 100 and 0 <= rechecked <= kernel
 
 
 def test_greedy_logs_grid_and_kernel_counts(caplog):
-    net, (drawn, gridded, kernel, rechecked) = _greedy_counts(
+    net, (drawn, gridded, kernel, rechecked), side = _greedy_counts(
         caplog, 3, 0.3, "ball", seed=7, stall_limit=150_000)
     assert len(net) == 150
+    assert side == pytest.approx(_CoverGrid.fit(3, 0.3).side, rel=1e-3)
     assert drawn == gridded + kernel and drawn % 512 == 0
     assert gridded > kernel > rechecked >= 0
+    # dim 4 at eps 0.3: a 2^20-cell cap forces a side near 0.093 and sends a
+    # fifth of the candidates to the float32 kernel; 2^23 cells keep it below
+    # a tenth
+    net, (drawn, gridded, kernel, rechecked), side = _greedy_counts(
+        caplog, 4, 0.3, "ball", seed=7, stall_limit=150_000)
+    assert len(net) == 637
+    assert side < 0.06
+    assert drawn == gridded + kernel and kernel < drawn / 10
 
 
 @pytest.fixture(scope="module")
