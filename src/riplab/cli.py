@@ -200,14 +200,14 @@ def cmd_recon(args) -> int:
                                sparsity=args.sparsity, solver=args.solver)
         rho = rho_from_budget(p, k, args.n, ball.radius)
         return (seed, args.n, k, p, res.error,
-                math.nan if rho is None else rho, int(res.certified),
+                math.nan if rho is None else rho,
                 math.nan if res.gap is None else res.gap)
 
     work = [(seed, k) for seed in args.seeds for k in args.k_list]
     rows = parallel_map(one, work, threads=args.threads)
     rows.sort(key=lambda r: (r[0], r[2]))
     atomic_write_text(args.out, _csv(rows, ("seed", "n", "k", "p", "error",
-                                            "rho", "certified", "solver_tol")))
+                                            "rho", "solver_tol")))
     print(f"recon sweep: {len(rows)} runs ({len(args.seeds)} seeds x {args.k_list}) "
           f"-> {args.out}")
     return EXIT_OK
@@ -215,7 +215,8 @@ def cmd_recon(args) -> int:
 
 def _reverify_net(net: Net, probes: int, seed: int) -> dict:
     sep = min_pairwise_distance(net.points)
-    out = {"size": len(net), "min_pairwise": sep,
+    # inf for fewer than two points, which strict JSON cannot carry
+    out = {"size": len(net), "min_pairwise": sep if math.isfinite(sep) else None,
            "separated": bool(sep > net.epsilon)}
     try:
         res = cover_check(net, probes, seed)

@@ -122,10 +122,6 @@ def rearrange(x: np.ndarray) -> Rearrangement:
     return Rearrangement(values=mags[perm], permutation=perm)
 
 
-def support_size(x: np.ndarray) -> int:
-    return int(np.count_nonzero(x))
-
-
 def member(x: np.ndarray, ball: BallDescriptor, atol: float = DEFAULT_ATOL) -> bool:
     """Exact membership up to an absolute float slack of ``atol``."""
     x = np.asarray(x, dtype=float)
@@ -141,10 +137,10 @@ def member(x: np.ndarray, ball: BallDescriptor, atol: float = DEFAULT_ATOL) -> b
     if fam == "weak-lp":
         return bool(_in_weak_lp(x, ball, atol))
     if fam == "sparse-sphere":
-        return (support_size(x) <= ball.sparsity
+        return (np.count_nonzero(x) <= ball.sparsity
                 and abs(np.linalg.norm(x) - rad) <= max(atol, 1e-9))
     if fam == "sparse-ball":
-        return support_size(x) <= ball.sparsity and bool(np.linalg.norm(x) <= rad + atol)
+        return np.count_nonzero(x) <= ball.sparsity and bool(np.linalg.norm(x) <= rad + atol)
     raise InvalidSpecError(fam)  # pragma: no cover
 
 

@@ -63,8 +63,12 @@ class Net:
 
 
 def volumetric_bound(dim: int, epsilon: float) -> float:
-    """Packing bound (1 + 2/eps)^dim for eps-separated subsets of the unit ball."""
-    return (1.0 + 2.0 / epsilon) ** dim
+    """Packing bound (1 + 2/eps)^dim for eps-separated subsets of the unit ball;
+    inf once it overflows a float."""
+    try:
+        return (1.0 + 2.0 / epsilon) ** dim
+    except OverflowError:
+        return math.inf
 
 
 # The float32 distance kernel.  Each net point p is stored once as the
@@ -431,8 +435,12 @@ def certify_cover(net: Net, probes: int, seed: int) -> Net:
 
 
 def sparse_net_bound(n: int, m: int, epsilon: float) -> float:
-    """Size bound C(n, m) * (5/eps)^m on a union of per-support eps-nets."""
-    return math.comb(n, m) * (5.0 / epsilon) ** m
+    """Size bound C(n, m) * (5/eps)^m on a union of per-support eps-nets;
+    inf once it overflows a float."""
+    try:
+        return math.comb(n, m) * (5.0 / epsilon) ** m
+    except OverflowError:
+        return math.inf
 
 
 def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +78,6 @@ class ReconResult:
     gap: float | None = None     # certified duality gap; None for exact
     t0: np.ndarray | None = None
     error: float | None = None   # |x_hat - t0| when t0 is known
-    bound: float | None = None   # certified 2 a rho when available
-    certified: bool = False
 
     def __post_init__(self):
         self.b.setflags(write=False)
@@ -440,8 +438,8 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
     """Per-instance certificate that ker(G~) cap ball lies in rho * B_2.
 
     rho is a radius, not a diameter: the diameter is at most 2 rho.  Builds
-    a theta/5-cover of the rescaled sphere slice of the ball through
-    sparse truncation, plus a scaled hull net for the difference body, and
+    a theta/5-cover of the unit sphere, which holds the rescaled sphere
+    slice of the ball, plus a scaled hull net for the difference body, and
     checks the realized matrix on both.  When every condition holds, no
     kernel vector of the ball can exceed norm rho (the near-isometry lower
     bound 1 - 9 theta/5 stays positive), so the certificate needs
@@ -459,16 +457,11 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
     # slice scale: T = (radius/rho) ball cap sphere, sparse surrogate level m_eff
     u = ball.radius / rho
     m_eff = max(1, math.ceil(u ** (1.0 / (1.0 / p - 0.5))))
-    delta = (theta / 20.0) ** 2
-    s = math.ceil(m_eff / delta)
     try:
-        if s >= n:
-            # every vector is n-sparse: cover the slice directly at theta/5
-            sphere_net = sparse_set_net(n, n, eps, "sphere", seed, net_budget,
-                                        stall_limit=stall_limit)
-        else:
-            sphere_net = sparse_set_net(n, s, eps / 2.0, "sphere", seed, net_budget,
-                                        stall_limit=stall_limit)
+        # sparse truncation would cover s = m_eff / (theta/20)^2 >= 1297
+        # sparse vectors, a net no budget admits: cover the slice directly
+        sphere_net = sparse_set_net(n, n, eps, "sphere", seed, net_budget,
+                                    stall_limit=stall_limit)
         if p == 1.0:
             m1 = math.ceil((2.0 * u / eps) ** 2)
         else:
@@ -540,34 +533,13 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
 
 
 def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
-                     seed: int, sparsity: int = 1, solver: str = "iterative",
-                     rho: float | None = None, certify: bool = False,
-                     theta: float = 0.5,
-                     net_budget: float = 2e6) -> ReconResult:
-    """Draw the matrix, measure a signal from the ball, and recover it.
-
-    The reported bound is the quasi-convexity-inflated 2 a rho (a = 2^(1/p)
-    for weak-lp, 1 for the convex l1 ball) and is only attached when the
-    per-instance certificate for rho succeeds.
-    """
+                     seed: int, sparsity: int = 1,
+                     solver: str = "iterative") -> ReconResult:
+    """Draw the matrix, measure a signal from the ball, and recover it."""
     if ball.dim != spec.n:
         raise InvalidSpecError("ball dimension must match the ensemble")
     t0 = draw_signal(ball, t0_model, seed, sparsity)
     if not member(t0, ball, atol=1e-9):
         raise InvalidSpecError("drawn signal escaped the ball")
     mat = generate(spec)
-    b = mat.entries @ t0
-    result = l1_minimize(mat, b, mode=solver, t0=t0)
-    bound = None
-    certified = False
-    if certify and rho is None:
-        p = 1.0 if ball.family == "l1" else ball.p
-        rho = rho_from_budget(p, spec.k, spec.n, ball.radius)
-    if certify and rho is not None:
-        cert = kernel_diameter_upper(mat, ball, rho, theta=theta, seed=seed,
-                                     net_budget=net_budget)
-        certified = cert.certified
-        if certified:
-            a = 1.0 if ball.family == "l1" else 2.0 ** (1.0 / ball.p)
-            bound = 2.0 * a * rho
-    return replace(result, bound=bound, certified=certified)
+    return l1_minimize(mat, mat.entries @ t0, mode=solver, t0=t0)

@@ -128,12 +128,12 @@ def test_recon_sweep_rows_and_zero_handling(tmp_path):
                 "--t0-model", "sparse", "--sparsity", 1, "--seeds", "0:3",
                 "--k-list", "4,6", "--out", out]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "seed,n,k,p,error,rho,certified,solver_tol"
+    assert lines[0] == "seed,n,k,p,error,rho,solver_tol"
     assert len(lines) == 1 + 3 * 2
     for line in lines[1:]:
         fields = line.split(",")
         assert float(fields[4]) >= 0.0
-        assert float(fields[7]) <= 1e-8
+        assert float(fields[6]) <= 1e-8
 
 
 def test_recon_solver_tol_is_certified_gap(tmp_path):
@@ -143,7 +143,7 @@ def test_recon_solver_tol_is_certified_gap(tmp_path):
                     "--t0-model", "weak-lp-extremal", "--seeds", "0:4",
                     "--k-list", "8,16", "--out", out]) == 0
         for line in out.read_text().strip().splitlines()[1:]:
-            gap = float(line.split(",")[7])
+            gap = float(line.split(",")[6])
             assert math.isfinite(gap) and -1e-12 <= gap <= 1e-6
 
 
@@ -239,6 +239,31 @@ def test_nets_verify_rejects_nan_point_and_bad_epsilon(tmp_path, capsys, field, 
     capsys.readouterr()
     assert run(["nets", "--verify", net_file]) == 2
     assert "corrupt net file" in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_nets_verify_one_point_net_prints_strict_json(tmp_path, capsys):
+    net_file = tmp_path / "one.json"
+    assert run(["nets", "--construct", "greedy", "--dim", 1, "--epsilon", 2,
+                "--out", net_file]) == 0
+    capsys.readouterr()
+    assert run(["nets", "--verify", net_file]) == 0
+    info = json.loads(capsys.readouterr().out.strip().splitlines()[-1],
+                      parse_constant=_reject_constant)
+    assert info["size"] == 1 and info["min_pairwise"] is None
+
+
+def test_nets_sparse_bound_overflow_exit_3(tmp_path, capsys):
+    # C(2000, 1000) * 10^1000 overflows a float: the budget check still refuses
+    out = tmp_path / "net.json"
+    assert run(["nets", "--construct", "sparse", "--n", 2000, "--m", 1000,
+                "--epsilon", 0.5, "--out", out]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
+    assert not out.exists()
 
 
 def test_nets_sparse_construction(tmp_path):

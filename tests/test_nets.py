@@ -19,7 +19,7 @@ from riplab.nets import (Net, _CoverGrid, _far_candidates, _kernel_cols, _kernel
                          certify_cover, cover_check, difference_set_net,
                          gaussian_width, greedy_separated_net, hull_decompose,
                          min_pairwise_distance, net_from_json, net_to_json,
-                         sparse_set_net)
+                         sparse_net_bound, sparse_set_net, volumetric_bound)
 from riplab.recon import hull_membership
 
 GAUSS_WIDTH_HALF_NORMAL = math.sqrt(2.0 / math.pi)    # E|g|, one dimension
@@ -121,6 +121,14 @@ def test_sparse_net_ball_cover_passes():
 def test_sparse_net_budget_error():
     with pytest.raises(BudgetError):
         sparse_set_net(30, 6, 0.1, "sphere", seed=0, budget=1e6)
+
+
+def test_net_size_bounds_overflow_to_inf():
+    assert volumetric_bound(3, 0.5) == 125.0
+    assert sparse_net_bound(8, 2, 0.5) == 28 * 100.0
+    assert volumetric_bound(1000, 0.5) == math.inf
+    assert sparse_net_bound(256, 256, 0.1) == math.inf
+    assert sparse_net_bound(2000, 1000, 0.5) == math.inf
 
 
 def test_difference_net_scaling_and_reduction():
@@ -295,6 +303,15 @@ def test_gaussian_width_closed_forms():
     assert abs(w2.estimate - GAUSS_WIDTH_MAX2) <= 3 * w2.std_error
     wl1 = gaussian_width(BallDescriptor.l1_ball(2), 200_000, seed=5)
     assert abs(wl1.estimate - GAUSS_WIDTH_MAX2) <= 3 * wl1.std_error
+
+
+@pytest.mark.parametrize("dim", [4, 32])
+def test_gaussian_width_l2_ball_is_scaled_chi_mean(dim):
+    # E|g| = sqrt(2) Gamma((dim+1)/2) / Gamma(dim/2) for g ~ N(0, I_dim)
+    radius = 1.5
+    w = gaussian_width(BallDescriptor.euclidean_ball(dim, radius), 20_000, seed=5)
+    chi_mean = math.sqrt(2.0) * math.exp(math.lgamma((dim + 1) / 2) - math.lgamma(dim / 2))
+    assert abs(w.estimate - radius * chi_mean) <= 4 * w.std_error
 
 
 def test_gaussian_width_monotone_in_sparsity():

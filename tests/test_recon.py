@@ -315,6 +315,13 @@ def test_kernel_diameter_upper_budget_error_at_desk_scale():
         kernel_diameter_upper(mat, BallDescriptor.l1_ball(32), rho=1.0, seed=3)
 
 
+def test_kernel_diameter_upper_budget_error_past_float_range():
+    # the sphere cover bound (50)^256 overflows a float; it must still refuse
+    mat = generate(EnsembleSpec("bernoulli", n=256, k=128, seed=60))
+    with pytest.raises(BudgetError, match="rho"):
+        kernel_diameter_upper(mat, BallDescriptor.l1_ball(256), rho=1.0, seed=3)
+
+
 def test_kernel_diameter_upper_rejects_vacuous_theta():
     mat = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=1))
     with pytest.raises(InvalidSpecError):
@@ -359,7 +366,6 @@ def test_recon_experiment_end_to_end():
     assert res.error is not None and res.error >= 0.0
     assert res.residual <= 1e-8
     assert np.allclose(res.b, generate(spec).entries @ res.t0)
-    assert not res.certified and res.bound is None
 
 
 def test_recon_experiment_sparse_signal_recovered():
