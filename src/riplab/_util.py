@@ -49,6 +49,24 @@ def philox(*key_parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=U64(derive_seed(*key_parts))))
 
 
+def rekey(bg: np.random.Philox, key0: int, key1: int = 0) -> np.random.Philox:
+    """Reset ``bg`` to the start of the ``Philox(key=[key0, key1])`` stream; returns it.
+
+    A Philox stream is fixed by its key, so the reset bit generator gives
+    the raws of a new one, also to a ``Generator`` built on it: the counter,
+    the buffered raws and the spare 32-bit half all go back to their
+    initial values.  Resetting is cheaper than constructing a Philox, which
+    gathers OS entropy only to discard it for the key.
+    ``Generator(rekey(bg, derive_seed(*parts)))`` draws what
+    ``philox(*parts)`` draws.
+    """
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, U64), "key": np.array([key0, key1], U64)},
+                "buffer": np.zeros(4, U64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+    return bg
+
+
 @functools.cache
 def _openblas_threads():
     """(get, set) of numpy's OpenBLAS thread count, or None without them.

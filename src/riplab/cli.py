@@ -7,6 +7,7 @@ files (written atomically), and stdout carries a short human summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -76,7 +77,11 @@ def _csv(rows, header) -> str:
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition(":")
     r = range(int(lo), int(hi)) if hi else range(0, int(lo))
-    if len(r) == 0:
+    try:
+        size = len(r)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"range {text!r} is too long") from None
+    if size == 0:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return r
 
@@ -124,14 +129,20 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+@functools.cache
+def _config_parser() -> _Parser:
+    """The pre-parser that finds --config, built once per process."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _with_config(argv: list[str]) -> list[str]:
     """argv with the --config file's tokens spliced in after the command.
 
     argparse keeps the last value it sees, so command-line flags win.
     """
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     return argv if path is None else argv[:1] + _config_tokens(path) + argv[1:]
 
 
@@ -368,12 +379,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()`` once per process, shared by every ``main`` call.
+
+    Parsing reads a parser and changes nothing in it, so calls in turn and
+    calls from several threads at once can share one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        args = _parser().parse_args(_with_config(argv))
         for name in _COUNTS:
             value = getattr(args, name, None)
             if value is not None and not value >= 1:

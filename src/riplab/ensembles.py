@@ -3,6 +3,13 @@
 Rows are independent copies of an isotropic random vector with unit
 coordinate variance, so the raw matrix G satisfies E|Gx|^2 = k|x|^2 and
 the row-normalized form G/sqrt(k) preserves norms in expectation.
+
+Row i of a matrix is the start of the Philox stream keyed by (seed, i).
+A call keeps one bit generator and re-keys it row by row, stacks the
+rows' raws into blocks and runs the per-kind transform (Box-Muller, sign
+bit or support lookup) once over each block.  The transform works entry
+by entry, so row i stays a pure function of (seed, i): rows can be drawn
+in any order or subset, and in blocks of any size, with identical bits.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from ._util import atomic_write_bytes, derive_seed, philox
+from ._util import atomic_write_bytes, derive_seed, philox, rekey
 from .errors import InvalidSpecError, NormalizationError
 
 KINDS = ("gaussian", "bernoulli", "uniform-sphere-row", "custom-bounded-symmetric")
@@ -28,6 +35,10 @@ _BINARY_VERSION = 1
 
 # 53-bit mantissa scaling for raw u64 -> double in [0,1)
 _INV53 = 2.0 ** -53
+
+# Entries per block of rows in sample_rows (at most 2^20 raws, 8 MiB, at two
+# raws an entry); a row longer than this is a block of its own.
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -120,10 +131,14 @@ class Psi2Estimate:
     non_subgaussian: bool = False
 
 
-def _raw_row(seed: int, row: int, count: int) -> np.ndarray:
-    """Raw u64 stream for one row; a pure function of (seed, row)."""
-    bg = np.random.Philox(key=np.array([seed, row], dtype=np.uint64))
-    return bg.random_raw(count)
+def _stacked_rows(bg: np.random.Philox, seed: int, rows, count: int) -> np.ndarray:
+    """``count`` raw u64 values: an equal share from the start of each row's stream.
+
+    Row r's share is the first raws of the Philox stream keyed by (seed, r),
+    so it is a pure function of (seed, r); ``bg`` is re-keyed for each row.
+    """
+    per_row = count // len(rows)
+    return np.concatenate([rekey(bg, seed, r).random_raw(per_row) for r in rows])
 
 
 def _box_muller(raw: np.ndarray) -> np.ndarray:
@@ -172,10 +187,18 @@ def sample_rows(kind: str, n: int, seed: int, rows: range | list,
                 support: tuple[tuple[float, float], ...] | None = None) -> np.ndarray:
     """Draw the requested rows of the ensemble; any order, any subset."""
     out = np.empty((len(rows), n))
-    for i, r in enumerate(rows):
-        out[i] = _entries(kind, partial(_raw_row, seed, r), n, support)
-        if kind == "uniform-sphere-row":
-            out[i] *= math.sqrt(n) / np.linalg.norm(out[i])
+    bg = np.random.Philox()
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        draw = partial(_stacked_rows, bg, seed, block)
+        out[lo:lo + len(block)] = _entries(kind, draw, len(block) * n,
+                                           support).reshape(-1, n)
+    if kind == "uniform-sphere-row":
+        # the 1-D norm (a dot product) of each row, not a batched norm that
+        # sums in another order
+        for row in out:
+            row *= math.sqrt(n) / np.linalg.norm(row)
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import available_cores, blas_threads, parallel_map, philox
+from ._util import available_cores, blas_threads, derive_seed, parallel_map, rekey
 from .ensembles import RAW, ROW_NORMALIZED, MeasurementMatrix
 from .errors import BudgetError, EmptySupportError, InvalidSpecError
 from .nets import Net
@@ -196,8 +196,12 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("sparsity exceeds ambient dimension")
     gram = _gram(m)
-    offsets = np.stack([_fisher_yates_offsets(philox(seed, "rip-mc", t), m.n, sparsity)
-                        for t in range(trials)])
+    rng = np.random.Generator(np.random.Philox())
+    offsets = np.empty((trials, sparsity), dtype=np.int64)
+    for t in range(trials):
+        # the draws of philox(seed, "rip-mc", t)
+        rekey(rng.bit_generator, derive_seed(seed, "rip-mc", t))
+        offsets[t] = _fisher_yates_offsets(rng, m.n, sparsity)
     supports = np.sort(_fisher_yates_rows(offsets, m.n), axis=1)
     lmin, lmax = _extremal_eigs(gram, supports)
     return _report_from_deviations(sparsity, MC_METHOD, 1.0 - lmin, lmax - 1.0, supports,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riplab
+from riplab import cli
 from riplab.cli import main
 from riplab.ensembles import matrix_from_binary, matrix_from_csv
+from riplab.spectral import check_uup
 
 
 def run(args):
@@ -367,6 +370,53 @@ def test_count_below_one_exit_1(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+def test_calls_in_one_process_share_the_parser_cleanly(tmp_path, monkeypatch):
+    trials = []
+
+    def spy(*args, **kwargs):
+        trials.append(kwargs["trials"])
+        return check_uup(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_uup", spy)
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 7, "method": "mc"}))
+    assert run(RIP + ["--out", first]) == 0
+    assert run(UUP + ["--method", "mc", "--trials", 0, "--out", tmp_path / "u0"]) == 1
+    assert run(RIP + ["--frobnicate", 3, "--out", tmp_path / "r1"]) == 1
+    assert run(UUP + ["--config", cfg, "--out", tmp_path / "u1"]) == 0
+    assert run(UUP + ["--method", "mc", "--out", tmp_path / "u2"]) == 0
+    assert run(RIP + ["--out", last]) == 0
+    assert trials == [7, 7, 1000, 1000]        # two seeds a sweep
+    assert first.read_bytes() == last.read_bytes()
+
+
+def test_concurrent_calls_write_what_serial_calls_write(tmp_path):
+    argvs = [RIP + ["--method", "mc", "--trials", 300], UUP, RIP, UUP + ["--method", "mc"]]
+    for i, argv in enumerate(argvs):
+        assert run(argv + ["--out", tmp_path / f"serial{i}.csv"]) == 0
+    codes = {}
+
+    def call(i):
+        codes[i] = run(argvs[i] + ["--out", tmp_path / f"thread{i}.csv"])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(argvs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == {i: 0 for i in range(len(argvs))}
+    for i in range(len(argvs)):
+        assert (tmp_path / f"thread{i}.csv").read_bytes() == \
+            (tmp_path / f"serial{i}.csv").read_bytes()
+
+
 RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model", "sparse",
          "--seeds", "0:2", "--k-list", "4"]
 
@@ -380,6 +430,7 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
     ({"table": "net\x00.csv"}, ["nets", "--construct", "greedy", "--dim", 2,
                                   "--epsilon", 0.5], "usage error:"),
     (None, UUP + ["--seed", 3], "usage error:"),
+    (None, UUP[:-1] + ["0:99999999999999999999999"], "usage error:"),
     (None, ["nets", "--construct", "greedy", "--dim", 2, "--epsilon", "nan"],
      "invalid parameters:"),
     (None, ["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", "nan"],
@@ -392,7 +443,7 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
     (None, RECON + ["--radius", "nan"], "invalid parameters: radius"),
     (None, RECON + ["--radius", "inf"], "invalid parameters: radius"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
-        "uup-seed", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
+        "uup-seed", "uup-seeds-too-long", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
         "nets-difference-epsilon-nan", "nets-difference-ambient", "uup-lam-nan",
         "recon-radius-nan", "recon-radius-inf"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from riplab import ensembles
 from riplab.ensembles import (EnsembleSpec, estimate_psi2,
                               generate, matrix_from_binary, matrix_from_csv,
                               matrix_to_binary, matrix_to_csv, row_normalize,
@@ -37,6 +38,16 @@ def test_rows_depend_only_on_seed_and_index(spec):
     full = generate(spec).entries
     some = sample_rows(spec.kind, spec.n, spec.seed, [6, 1, 3], spec.support)
     assert np.array_equal(some, full[[6, 1, 3]])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_rows_do_not_depend_on_blocking(spec, monkeypatch):
+    # blocks of 3 rows: 8 matrix rows make blocks of 3, 3 and 2
+    whole = generate(spec).entries.tobytes()
+    psi2 = estimate_psi2(spec, 3, 100)
+    monkeypatch.setattr(ensembles, "_BLOCK_ENTRIES", 3 * spec.n)
+    assert generate(spec).entries.tobytes() == whole
+    assert estimate_psi2(spec, 3, 100) == psi2
 
 
 def test_gaussian_long_row_moments():

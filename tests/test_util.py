@@ -2,10 +2,11 @@ import logging
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from riplab import _util
-from riplab._util import blas_threads, parallel_map
+from riplab._util import blas_threads, derive_seed, parallel_map, philox, rekey
 
 needs_openblas = pytest.mark.skipif(_util._openblas_threads() is None,
                                     reason="numpy's OpenBLAS thread symbols not found")
@@ -117,3 +118,28 @@ def test_blas_caps_from_plain_threads_hold_until_the_last_block_closes():
         sys.setswitchinterval(interval)
         set_(before)
     assert len(seen) == 6 * 300 and set(seen) == {1}
+
+
+@pytest.mark.parametrize("key", [(2**64 - 1, 0), (12345, 2**32 + 7)],
+                         ids=["top-key", "wide-row"])
+@pytest.mark.parametrize("used", ["fresh", "mid-buffer", "spare-uint32"])
+def test_rekey_gives_the_raws_of_a_new_philox(key, used):
+    bg = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
+    if used == "mid-buffer":
+        bg.random_raw(3)
+    elif used == "spare-uint32":
+        np.random.Generator(bg).integers(0, 10, size=3)
+        assert bg.state["has_uint32"] == 1
+    fresh = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    assert np.array_equal(rekey(bg, *key).random_raw(9), fresh.random_raw(9))
+
+
+def test_rekeyed_generator_draws_what_philox_draws():
+    n, m = 20, 5
+    rng = np.random.Generator(np.random.Philox())
+    for t in range(4):
+        rekey(rng.bit_generator, derive_seed(7, "rip-mc", t))
+        got = rng.integers(0, n - np.arange(m))
+        # a spare 32-bit half is left over for the next re-key to discard
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(got, philox(7, "rip-mc", t).integers(0, n - np.arange(m)))
