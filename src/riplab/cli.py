@@ -207,12 +207,9 @@ def cmd_recon(args) -> int:
     def one(item):
         seed, k = item
         spec = EnsembleSpec(args.kind, args.n, k, seed)
-        res = recon_experiment(spec, ball, args.t0_model, seed,
-                               sparsity=args.sparsity, solver=args.solver)
+        res = recon_experiment(spec, ball, args.t0_model, seed, sparsity=args.sparsity)
         rho = rho_from_budget(p, k, args.n, ball.radius)
-        return (seed, args.n, k, p, res.error,
-                math.nan if rho is None else rho,
-                math.nan if res.gap is None else res.gap)
+        return (seed, args.n, k, p, res.error, math.nan if rho is None else rho, res.gap)
 
     work = [(seed, k) for seed in args.seeds for k in args.k_list]
     rows = parallel_map(one, work, threads=args.threads)
@@ -350,7 +347,6 @@ def build_parser() -> _Parser:
     c.add_argument("--t0-model", choices=("sparse", "weak-lp-extremal", "random-ball"),
                    required=True)
     c.add_argument("--sparsity", type=int, default=1)
-    c.add_argument("--solver", choices=("iterative", "exact"), default="iterative")
     c.add_argument("--seeds", type=seed_range, required=True, help="seed range lo:hi")
     c.add_argument("--k-list", type=int_list, required=True, help="comma list of k values")
     c.add_argument("--out", required=True)

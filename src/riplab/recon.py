@@ -1,15 +1,14 @@
 """Approximate sparse reconstruction and random kernel diameters.
 
-l1 minimization under exact equality constraints (enumeration oracle and
-a primal-dual interior-point solver that stops on a certified duality
-gap), hull membership decided by that solver, kernel-diameter lower
-bounds by nonconvex search with vertex polish, per-instance upper-bound
+l1 minimization under exact equality constraints (a primal-dual
+interior-point solver that stops on a certified duality gap), hull
+membership decided by that solver, kernel-diameter lower bounds by
+nonconvex search with vertex polish, per-instance upper-bound
 certificates from the net machinery, and the end-to-end experiment.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +70,10 @@ def kernel_basis(m: MeasurementMatrix) -> KernelBasis:
 class ReconResult:
     b: np.ndarray
     x_hat: np.ndarray
-    solver: str
     objective: float             # l1 norm of x_hat
     residual: float              # |G x_hat - b|
-    iterations: int              # supports tried (exact) or Newton steps
-    gap: float | None = None     # certified duality gap; None for exact
+    iterations: int              # Newton steps
+    gap: float                   # certified duality gap
     t0: np.ndarray | None = None
     error: float | None = None   # |x_hat - t0| when t0 is known
 
@@ -84,35 +82,6 @@ class ReconResult:
         self.x_hat.setflags(write=False)
         if self.t0 is not None:
             self.t0.setflags(write=False)
-
-
-EXACT_SOLVER = "exact-enumeration"
-ITERATIVE_SOLVER = "primal-dual"
-
-
-def _l1_exact(entries: np.ndarray, b: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-    """Best basic solution over all supports of size at most k."""
-    k, n = entries.shape
-    supports = sum(math.comb(n, size) for size in range(1, k + 1))
-    if supports > budget:
-        raise BudgetError(f"{supports} supports of size 1..{k} exceed budget {budget}")
-    best_x = np.zeros(n)
-    best_obj = math.inf if np.linalg.norm(b) > FEASIBILITY_TOL else 0.0
-    checked = 0
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(n), size):
-            sub = entries[:, combo]
-            sol, _, _, _ = np.linalg.lstsq(sub, b, rcond=None)
-            if np.linalg.norm(sub @ sol - b) <= FEASIBILITY_TOL:
-                obj = float(np.sum(np.abs(sol)))
-                if obj < best_obj:
-                    best_obj = obj
-                    best_x = np.zeros(n)
-                    best_x[list(combo)] = sol
-            checked += 1
-    if math.isinf(best_obj):
-        raise InfeasibleError("no feasible basic solution found")
-    return best_x, checked
 
 
 # Primal-dual interior point (l1eq_pd of l1-magic, Candes & Romberg 2005):
@@ -265,32 +234,21 @@ def _l1_solve(entries: np.ndarray, b: np.ndarray) -> tuple:
     return x, gap, steps, u[:, :rank] @ (y / svals[:rank]), off
 
 
-def l1_minimize(m: MeasurementMatrix, b: np.ndarray, mode: str = "iterative",
-                t0: np.ndarray | None = None, budget: int = 2_000_000) -> ReconResult:
+def l1_minimize(m: MeasurementMatrix, b: np.ndarray,
+                t0: np.ndarray | None = None) -> ReconResult:
     """argmin |x|_1 subject to G x = b.
 
-    mode "exact" enumerates supports of size at most k (an optimal basic
-    solution has at most k nonzeros); mode "iterative" runs a primal-dual
-    interior-point method on the SVD row-reduced system and reports the
-    certified duality gap.  b must lie in the column space up to
-    FEASIBILITY_TOL; b = 0 returns 0.
+    Runs a primal-dual interior-point method on the SVD row-reduced system
+    and reports the certified duality gap.  b must lie in the column space
+    up to FEASIBILITY_TOL; b = 0 returns 0.
     """
     b = np.asarray(b, dtype=float)
     entries = m.entries
-    gap = None
-    if mode == "exact":
-        # no basic solution is feasible when b is outside the column space
-        x_hat, iters = _l1_exact(entries, b, budget)
-        solver = EXACT_SOLVER
-    elif mode == "iterative":
-        x_hat, gap, iters, _, off = _l1_solve(entries, b)
-        if np.linalg.norm(off) > FEASIBILITY_TOL:
-            raise InfeasibleError("b is not in the column space of the matrix")
-        solver = ITERATIVE_SOLVER
-    else:
-        raise InvalidSpecError(f"unknown solver mode {mode!r}")
+    x_hat, gap, iters, _, off = _l1_solve(entries, b)
+    if np.linalg.norm(off) > FEASIBILITY_TOL:
+        raise InfeasibleError("b is not in the column space of the matrix")
     return ReconResult(
-        b=b, x_hat=x_hat, solver=solver,
+        b=b, x_hat=x_hat,
         objective=float(np.sum(np.abs(x_hat))),
         residual=float(np.linalg.norm(entries @ x_hat - b)),
         iterations=iters, gap=gap,
@@ -516,6 +474,8 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
     rng = philox(seed, "t0", model)
     n = ball.dim
     if model == "sparse":
+        if not 1 <= sparsity <= n:
+            raise InvalidSpecError(f"sparsity must be in [1, {n}], got {sparsity}")
         t0 = np.zeros(n)
         supp = rng.choice(n, size=sparsity, replace=False)
         t0[supp] = rng.standard_normal(sparsity)
@@ -533,8 +493,7 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
 
 
 def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
-                     seed: int, sparsity: int = 1,
-                     solver: str = "iterative") -> ReconResult:
+                     seed: int, sparsity: int = 1) -> ReconResult:
     """Draw the matrix, measure a signal from the ball, and recover it."""
     if ball.dim != spec.n:
         raise InvalidSpecError("ball dimension must match the ensemble")
@@ -542,4 +501,4 @@ def recon_experiment(spec: EnsembleSpec, ball: BallDescriptor, t0_model: str,
     if not member(t0, ball, atol=1e-9):
         raise InvalidSpecError("drawn signal escaped the ball")
     mat = generate(spec)
-    return l1_minimize(mat, mat.entries @ t0, mode=solver, t0=t0)
+    return l1_minimize(mat, mat.entries @ t0, t0=t0)

@@ -442,10 +442,12 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
     (None, UUP + ["--lam", "nan"], "invalid parameters:"),
     (None, RECON + ["--radius", "nan"], "invalid parameters: radius"),
     (None, RECON + ["--radius", "inf"], "invalid parameters: radius"),
+    (None, RECON + ["--sparsity", 13], "invalid parameters:"),
+    (None, RECON + ["--solver", "exact"], "usage error:"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
         "uup-seed", "uup-seeds-too-long", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
         "nets-difference-epsilon-nan", "nets-difference-ambient", "uup-lam-nan",
-        "recon-radius-nan", "recon-radius-inf"])
+        "recon-radius-nan", "recon-radius-inf", "recon-sparsity-above-n", "recon-solver"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):
     if config is not None:
         cfg = tmp_path / "cfg.json"

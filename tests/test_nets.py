@@ -584,6 +584,8 @@ def _greedy_counts(caplog, *args, **kwargs):
 
 def test_greedy_without_grid_sends_every_candidate_to_the_kernel(caplog):
     assert _CoverGrid.fit(6, 0.25) is None
+    # round(2^(23/11)) = 4 cells per axis: too few for any grid
+    assert _CoverGrid.fit(11, 0.5) is None
     net, (drawn, gridded, kernel, rechecked), side = _greedy_counts(
         caplog, 6, 0.25, "ball", seed=0, stall_limit=100)
     assert side is None

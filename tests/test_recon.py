@@ -40,6 +40,37 @@ def exact_l1_kernel_diameter(entries):
     return 2.0 * best
 
 
+def enumerate_l1(entries, b, budget=2_000_000):
+    """Oracle for min |x|_1 s.t. entries x = b: the best basic solution over
+    all supports of size at most k, returned with the supports tried."""
+    k, n = entries.shape
+    supports = sum(math.comb(n, size) for size in range(1, k + 1))
+    if supports > budget:
+        raise BudgetError(f"{supports} supports of size 1..{k} exceed budget {budget}")
+    best_x = np.zeros(n)
+    best_obj = math.inf if np.linalg.norm(b) > recon.FEASIBILITY_TOL else 0.0
+    checked = 0
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(range(n), size):
+            sub = entries[:, combo]
+            sol, _, _, _ = np.linalg.lstsq(sub, b, rcond=None)
+            if np.linalg.norm(sub @ sol - b) <= recon.FEASIBILITY_TOL:
+                obj = float(np.sum(np.abs(sol)))
+                if obj < best_obj:
+                    best_obj = obj
+                    best_x = np.zeros(n)
+                    best_x[list(combo)] = sol
+            checked += 1
+    if math.isinf(best_obj):
+        raise InfeasibleError("no feasible basic solution found")
+    return best_x, checked
+
+
+def enumerated_objective(mat, b):
+    """|x|_1 of the oracle's solution, as ReconResult.objective computes it."""
+    return float(np.sum(np.abs(enumerate_l1(mat.entries, b)[0])))
+
+
 def first_rows_identity(n, k):
     spec = EnsembleSpec("gaussian", n=n, k=k, seed=0)
     return MeasurementMatrix(entries=np.eye(n)[:k] * math.sqrt(k), spec=spec,
@@ -69,10 +100,10 @@ def test_kernel_basis_full_rank_and_residuals():
 
 def test_l1_zero_rhs():
     m = generate(EnsembleSpec("bernoulli", n=10, k=5, seed=1))
-    for mode in ("exact", "iterative"):
-        res = l1_minimize(m, np.zeros(5), mode=mode)
-        assert np.array_equal(res.x_hat, np.zeros(10))
-        assert res.objective == 0.0
+    res = l1_minimize(m, np.zeros(5))
+    assert np.array_equal(res.x_hat, np.zeros(10))
+    assert res.objective == 0.0 and res.gap == 0.0
+    assert np.array_equal(enumerate_l1(m.entries, np.zeros(5))[0], np.zeros(10))
 
 
 def test_l1_identity_rows_recover_sparse_prefix_signal():
@@ -80,10 +111,10 @@ def test_l1_identity_rows_recover_sparse_prefix_signal():
     t0 = np.zeros(10)
     t0[[1, 3]] = [2.0, -1.0]
     b = m.entries @ t0
-    for mode in ("exact", "iterative"):
-        res = l1_minimize(m, b, mode=mode, t0=t0)
-        assert np.allclose(res.x_hat, t0, atol=1e-7)
-        assert res.error <= 1e-7
+    res = l1_minimize(m, b, t0=t0)
+    assert np.allclose(res.x_hat, t0, atol=1e-7)
+    assert res.error <= 1e-7
+    assert np.allclose(enumerate_l1(m.entries, b)[0], t0, atol=1e-7)
 
 
 def test_l1_infeasible_rhs():
@@ -98,28 +129,6 @@ def test_l1_infeasible_rhs():
         l1_minimize(mat, np.array([1.0, 1.0, 1.0]))
 
 
-def test_l1_exact_budget_error():
-    m = generate(EnsembleSpec("bernoulli", n=40, k=12, seed=2))
-    with pytest.raises(BudgetError):
-        l1_minimize(m, np.zeros(12) + m.entries[:, 0], mode="exact", budget=100)
-
-
-def test_l1_exact_budget_counts_every_support_size():
-    # C(12, 10) = 66 fits the budget, but sizes 1..10 make 4082 supports
-    m = generate(EnsembleSpec("bernoulli", n=12, k=10, seed=2))
-    with pytest.raises(BudgetError, match="4082"):
-        l1_minimize(m, m.entries[:, 0], mode="exact", budget=100)
-
-
-def test_l1_exact_solution_is_basic():
-    m = generate(EnsembleSpec("gaussian", n=12, k=5, seed=6))
-    t0 = np.zeros(12)
-    t0[[0, 7]] = [1.0, 0.5]
-    res = l1_minimize(m, m.entries @ t0, mode="exact")
-    assert np.count_nonzero(res.x_hat) <= 5
-    assert res.residual <= 1e-8
-
-
 def test_l1_iterative_matches_exact_sample():
     worst = 0.0
     for i in range(20):
@@ -131,9 +140,7 @@ def test_l1_iterative_matches_exact_sample():
         sup = rng.choice(n, 2, replace=False)
         t0[sup] = rng.standard_normal(2)
         b = mat.entries @ t0
-        exact = l1_minimize(mat, b, mode="exact")
-        iterative = l1_minimize(mat, b, mode="iterative")
-        worst = max(worst, abs(exact.objective - iterative.objective))
+        worst = max(worst, abs(enumerated_objective(mat, b) - l1_minimize(mat, b).objective))
     assert worst <= 1e-6
 
 
@@ -175,11 +182,9 @@ def test_primal_dual_rank_deficient_bernoulli():
     t0 = np.zeros(n)
     t0[rng.choice(n, s, replace=False)] = rng.standard_normal(s)
     b = mat.entries @ t0
-    exact = l1_minimize(mat, b, mode="exact")
     res = l1_minimize(mat, b)
-    assert abs(res.objective - exact.objective) <= 1e-6
+    assert abs(res.objective - enumerated_objective(mat, b)) <= 1e-6
     assert res.residual <= 1e-8
-    assert exact.gap is None and res.solver == "primal-dual"
 
 
 def test_primal_dual_deterministic():
@@ -287,11 +292,14 @@ def test_kernel_diameter_upper_identity_certifies():
     mat = MeasurementMatrix(entries=np.eye(n) * math.sqrt(n),
                             spec=EnsembleSpec("gaussian", n=n, k=n, seed=0),
                             normalization="raw")
-    cert = kernel_diameter_upper(mat, BallDescriptor.l1_ball(n), rho=1.0,
-                                 theta=0.5, seed=3, net_budget=1e6,
-                                 stall_limit=60_000)
-    assert cert.certified
-    assert cert.norm_condition and cert.image_condition and cert.cover_probe_pass
+    # the weak-lp balls take the required_hull_sparsity route
+    for ball in (BallDescriptor.l1_ball(n), BallDescriptor.weak_lp_ball(n, 0.5),
+                 BallDescriptor.weak_lp_ball(n, 0.8)):
+        cert = kernel_diameter_upper(mat, ball, rho=1.0,
+                                     theta=0.5, seed=3, net_budget=1e6,
+                                     stall_limit=60_000)
+        assert cert.certified
+        assert cert.norm_condition and cert.image_condition and cert.cover_probe_pass
 
 
 def test_kernel_diameter_upper_refuses_kernel_vector():
@@ -337,6 +345,12 @@ def test_draw_signal_stays_in_ball(model, ball):
         t0 = draw_signal(ball, model, seed, sparsity=2)
         assert member(t0, ball, atol=1e-9)
         assert np.any(t0)
+
+
+@pytest.mark.parametrize("sparsity", [0, 17])
+def test_draw_signal_rejects_sparsity_outside_1_to_n(sparsity):
+    with pytest.raises(InvalidSpecError, match="sparsity"):
+        draw_signal(BallDescriptor.l1_ball(16), "sparse", 0, sparsity=sparsity)
 
 
 # sha256 of the f64 bytes of draw_signal(ball, "random-ball", seed) for
