@@ -130,21 +130,74 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
-    Results are returned in item order regardless of completion order, so
-    callers relying on order-independent reductions get identical output
-    for every thread count.  While the pool runs, BLAS gets the cores left
-    per worker (at least one thread), so workers times BLAS threads does
-    not oversubscribe the cores.
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process's one pool of ``available_cores()`` threads, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=available_cores(),
+                                       thread_name_prefix="riplab")
+        return _pool
+
+
+def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
+    """Map fn over items on the calling thread plus helpers from one shared pool.
+
+    Up to ``min(threads, len(items))`` workers run the map: the calling
+    thread and as many helper tasks on the process-wide pool, built once
+    with ``available_cores()`` threads.  Each worker takes the next item
+    index from a shared cursor, and the caller waits only for items that
+    others have already taken, so a map called from inside another map's
+    item finishes even when every pool thread is busy: the caller then
+    runs every item itself.  Results are returned in item order regardless
+    of completion order, so callers relying on order-independent
+    reductions get identical output for every thread count.  Every item
+    runs even when some raise; the exception of the lowest failing index
+    is raised.  While the map runs, BLAS gets the cores left per worker
+    (at least one thread), so workers times BLAS threads does not
+    oversubscribe the cores.
     """
     workers = min(threads, len(items))
     if workers <= 1:
         return [fn(it) for it in items]
-    cores = available_cores()
-    with blas_threads(cores // workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    done = threading.Event()
+    taken = finished = 0
+
+    def work():
+        nonlocal taken, finished
+        while True:
+            with lock:
+                i = taken
+                if i == len(items):
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:       # raised by the caller once all items ran
+                errors[i] = exc
+            with lock:
+                finished += 1
+                if finished == len(items):
+                    done.set()
+
+    with blas_threads(available_cores() // workers):
+        pool = _shared_pool()
+        # helpers' futures are never read: work() keeps every error, and a
+        # helper still queued when the items run out returns at once
+        for _ in range(workers - 1):
+            pool.submit(work)
+        work()
+        done.wait()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -75,8 +75,9 @@ def _csv(rows, header) -> str:
 
 
 def seed_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    r = range(int(lo), int(hi)) if hi else range(0, int(lo))
+    # "N" is 0:N; a range with an empty side fails int("") and exits as a usage error
+    lo, sep, hi = text.partition(":")
+    r = range(int(lo), int(hi)) if sep else range(0, int(lo))
     try:
         size = len(r)
     except OverflowError:

@@ -69,8 +69,9 @@ def _map_chunks(spec: EnsembleSpec, trials: int, seed: int, fn) -> list:
 
     ``lo`` is a chunk's first trial and ``block`` its (count, k, n) stack.
     Each chunk index owns its own counter stream, so the chunks run on
-    min(cores, chunks) pool workers at one BLAS thread, and each result
-    depends only on its chunk, the same for every core count.
+    min(cores, chunks) ``parallel_map`` workers (this thread and helpers
+    from the shared pool) at one BLAS thread, and each result depends only
+    on its chunk, the same for every core count.
     """
     starts = range(0, trials, MATRIX_CHUNK)
 

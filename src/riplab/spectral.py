@@ -8,10 +8,10 @@ principal-submatrix interlacing makes smaller supports redundant.
 Exact, Monte-Carlo and single-support evaluations share one kernel: form
 the Gram matrix once, gather the principal submatrix of every support and
 take batched LAPACK eigenvalues of the stack.  A stack larger than one
-gather chunk is split over a pool of up to one worker per core, each at
-one BLAS thread; every eigenvalue call runs at one BLAS thread, so reports
-do not depend on the core count, the BLAS thread setting or the caller's
-threads.  Monte-Carlo supports come from one vectorized Fisher-Yates loop
+gather chunk is split over up to one worker per core (the calling thread
+and helpers from the process's shared pool), each at one BLAS thread;
+every eigenvalue call runs at one BLAS thread, so reports do not depend
+on the core count, the BLAS thread setting or the caller's threads.  Monte-Carlo supports come from one vectorized Fisher-Yates loop
 over all trials, each trial driven by its own seeded offsets.
 """
 
@@ -61,9 +61,9 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray):
     """(lambda_min, lambda_max) arrays of gram[A, A] over the rows A of (s, m) supports.
 
     A stack of more than one chunk (``_GATHER_DOUBLES`` doubles) goes to
-    min(cores, chunks) pool workers, each gathering its share of the
-    chunk's doubles at a time, so the doubles in flight stay within one
-    chunk.  Each worker writes its own slices of the outputs.  Each
+    min(cores, chunks) ``parallel_map`` workers (this thread and helpers
+    from the shared pool), each gathering its share of the chunk's
+    doubles at a time, so the doubles in flight stay within one chunk.  Each worker writes its own slices of the outputs.  Each
     principal submatrix goes through its own LAPACK call at one BLAS
     thread, so a support's eigenvalues depend neither on which stack it
     lands in nor on how many workers or BLAS threads the machine has.

@@ -431,6 +431,7 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
                                   "--epsilon", 0.5], "usage error:"),
     (None, UUP + ["--seed", 3], "usage error:"),
     (None, UUP[:-1] + ["0:99999999999999999999999"], "usage error:"),
+    (None, UUP[:-1] + ["3:"], "usage error:"),
     (None, ["nets", "--construct", "greedy", "--dim", 2, "--epsilon", "nan"],
      "invalid parameters:"),
     (None, ["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", "nan"],
@@ -445,7 +446,8 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
     (None, RECON + ["--sparsity", 13], "invalid parameters:"),
     (None, RECON + ["--solver", "exact"], "usage error:"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
-        "uup-seed", "uup-seeds-too-long", "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
+        "uup-seed", "uup-seeds-too-long", "uup-seeds-open-end",
+        "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
         "nets-difference-epsilon-nan", "nets-difference-ambient", "uup-lam-nan",
         "recon-radius-nan", "recon-radius-inf", "recon-sparsity-above-n", "recon-solver"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):

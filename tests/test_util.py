@@ -1,6 +1,7 @@
 import logging
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,79 @@ def test_parallel_map_keeps_item_order_without_blas_symbols(monkeypatch):
     assert [i for i, _ in names] == list(range(20))
     with blas_threads(1):
         pass
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Make parallel_map build a pool of its own, sized for the given core count."""
+    def use(cores):
+        monkeypatch.setattr(_util, "available_cores", lambda: cores)
+        monkeypatch.setattr(_util, "_pool", None)
+    yield use
+    if _util._pool is not None:
+        _util._pool.shutdown(wait=False)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_nested_maps_finish_when_every_pool_thread_is_busy(fresh_pool, cores):
+    # each outer item runs an inner map whose helpers queue behind busy pool
+    # threads; the inner callers must run those items instead of waiting
+    fresh_pool(cores)
+    got = []
+
+    def inner(item):
+        time.sleep(0.001)
+        return item
+
+    def outer(i):
+        return parallel_map(inner, [(i, j) for j in range(6)], threads=4)
+
+    t = threading.Thread(target=lambda: got.append(parallel_map(outer, list(range(8)),
+                                                                threads=4)))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert got == [[[(i, j) for j in range(6)] for i in range(8)]]
+
+
+def test_every_item_runs_and_the_lowest_failing_index_raises():
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 3:
+            time.sleep(0.05)               # item 7 raises first
+        if i in (3, 7):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        parallel_map(fn, list(range(12)), threads=4)
+    assert info.value.args == (3,)
+    assert sorted(ran) == list(range(12))
+
+
+def test_successive_maps_start_no_threads(fresh_pool):
+    fresh_pool(2)
+    # three items that wait for each other: the caller and both pool threads
+    meet = threading.Barrier(3, timeout=30)
+    parallel_map(lambda _: meet.wait(), [0, 1, 2], threads=3)
+    after_first = threading.active_count()
+    for _ in range(200):
+        assert parallel_map(abs, [-1, -2, -3], threads=3) == [1, 2, 3]
+    assert threading.active_count() <= after_first
+
+
+def test_results_do_not_depend_on_the_thread_count():
+    def spectrum(seed):
+        a = philox(seed).standard_normal((24, 24))
+        return np.linalg.eigvalsh(a + a.T).tobytes()
+
+    items = list(range(40))
+    with blas_threads(1):
+        serial = parallel_map(spectrum, items, threads=1)
+        assert parallel_map(spectrum, items, threads=2) == serial
+        assert parallel_map(spectrum, items, threads=16) == serial
 
 
 def test_missing_blas_symbol_logs_one_debug_line(monkeypatch, caplog):
