@@ -166,7 +166,7 @@ def cmd_rip(args) -> int:
     def one(m):
         if args.method == "exact":
             return rip_exact(matrix, m, budget=args.budget)
-        return rip_monte_carlo(matrix, m, args.trials, args.mc_seed)
+        return rip_monte_carlo(matrix, m, args.trials, args.mc_seed, budget=args.budget)
 
     reports = parallel_map(one, args.grid, threads=args.threads)
     rows = [(r.m, r.theta, r.theta_lower, r.theta_upper, r.method)

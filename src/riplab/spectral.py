@@ -6,13 +6,19 @@ of size m.  Exact enumeration suffices at size exactly m because
 principal-submatrix interlacing makes smaller supports redundant.
 
 Exact, Monte-Carlo and single-support evaluations share one kernel: form
-the Gram matrix once, gather the principal submatrix of every support and
-take batched LAPACK eigenvalues of the stack.  A stack larger than one
-gather chunk is split over up to one worker per core (the calling thread
-and helpers from the process's shared pool), each at one BLAS thread;
-every eigenvalue call runs at one BLAS thread, so reports do not depend
-on the core count, the BLAS thread setting or the caller's threads.  Monte-Carlo supports come from one vectorized Fisher-Yates loop
-over all trials, each trial driven by its own seeded offsets.
+the Gram matrix once, gather the principal submatrix of every support
+and take batched LAPACK eigenvalues of the stack.  A stack larger than
+one gather chunk is split over up to one worker per core (the calling
+thread and helpers from the process's shared pool), each at one BLAS
+thread.  Reports keep only the supports that maximize 1 - lambda_min and
+lambda_max - 1, so in such a stack at m <= k, past the first worker's
+share, a support skips the eigenvalue call when two shifted Cholesky
+factorizations prove it below the best values found so far.  Every
+reported number still comes from LAPACK eigvalsh at one BLAS thread, so
+reports do not depend on the core count, the BLAS thread setting or the
+caller's threads.  Monte-Carlo supports come from one vectorized
+Fisher-Yates loop over all trials, each trial driven by its own seeded
+offsets.
 """
 
 from __future__ import annotations
@@ -20,11 +26,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import available_cores, blas_threads, derive_seed, parallel_map, rekey
+from ._util import (available_cores, batched_cholesky, blas_threads, derive_seed,
+                    parallel_map, rekey)
 from .ensembles import RAW, ROW_NORMALIZED, MeasurementMatrix
 from .errors import BudgetError, EmptySupportError, InvalidSpecError
 from .nets import Net
@@ -55,18 +63,84 @@ class SupportSet:
 # Doubles per gathered stack of principal submatrices (8 MiB) in flight in
 # one call, however many supports it evaluates and however many workers.
 _GATHER_DOUBLES = 1 << 20
+_U = 2.0 ** -53             # unit roundoff of binary64
 
 
-def _extremal_eigs(gram: np.ndarray, supports: np.ndarray):
+def _factor_completes(h, cholesky):
+    """Mask of the matrices of the (s, m, m) stack h whose Cholesky factors complete."""
+    with np.errstate(all="ignore"):
+        factors = cholesky(h)
+    # a failed factorization comes back filled with NaN
+    return np.isfinite(factors.reshape(len(h), -1)[:, ::h.shape[-1] + 1]).all(axis=1)
+
+
+def _margin(m, t, diag_sums, bar):
+    """Screening margin tau at threshold t for supports with these sums of |a_ii|."""
+    g = (m + 1) * _U / (1 - (m + 1) * _U)
+    return 6 * g * (m * abs(t) + diag_sums) + 5 * _U * max(1.0, abs(bar))
+
+
+def _cleared(gram, idx, bar_low, bar_high, cholesky):
+    """Mask of the rows A of idx proven to stay below both bars.
+
+    bar_low and bar_high are the best fl(1 - lambda_min) and
+    fl(lambda_max - 1) of eigvalsh so far.  A row is cleared when the
+    Cholesky factorizations of fl((t - tau) I - A) at t = bar_high + 1 and
+    of fl(A - (t + tau) I) at t = 1 - bar_low both complete.  Completion
+    on H proves lambda_min(H) >= -gamma/(1 - gamma) tr H with gamma =
+    gamma_(m+2) (Demmel; Rump, BIT 46, 2006; the m + 2 covers LAPACK's
+    scaling by a reciprocal pivot).  Assuming LAPACK eigvalsh errs by at
+    most 3(m + 1) u sum|a_ii| on an extremal eigenvalue, these two terms
+    and the rounding of the diagonal shift sum to at most about
+    (4m + 6) u sum|a_ii| + (m + 2) m u |t|, inside the 6 gamma_(m+1)
+    (m |t| + sum|a_ii|) of ``_margin``; its 5 u max(1, |bar|) covers the
+    rounding of t, of the shift t -+ tau and of the subtraction from 1, so
+    a cleared row's fl(1 - lambda_min) and fl(lambda_max - 1) lie
+    strictly below the bars: it can neither beat nor tie a support that
+    eigvalsh saw.  Both shifted matrices are built in place in one
+    gathered stack, so the stack and one stack of factors are in flight.
+    """
+    m = idx.shape[1]
+    h = gram[idx[:, :, None], idx[:, None, :]]
+    diag = h.reshape(len(h), -1)[:, ::m + 1]        # a view: writes go to h
+    a = diag.copy()
+    sums = np.abs(a).sum(axis=1)
+    t = bar_high + 1.0
+    np.negative(h, out=h)
+    diag[...] = (t - _margin(m, t, sums, bar_high))[:, None] - a
+    ok = _factor_completes(h, cholesky)
+    if not ok.any():
+        return ok
+    t = 1.0 - bar_low
+    np.negative(h, out=h)
+    diag[...] = a - (t + _margin(m, t, sums, bar_low))[:, None]
+    return ok & _factor_completes(h, cholesky)
+
+
+def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False):
     """(lambda_min, lambda_max) arrays of gram[A, A] over the rows A of (s, m) supports.
 
     A stack of more than one chunk (``_GATHER_DOUBLES`` doubles) goes to
     min(cores, chunks) ``parallel_map`` workers (this thread and helpers
-    from the shared pool), each gathering its share of the chunk's
-    doubles at a time, so the doubles in flight stay within one chunk.  Each worker writes its own slices of the outputs.  Each
-    principal submatrix goes through its own LAPACK call at one BLAS
+    from the shared pool).  Each takes shares of ``step`` supports in
+    turn, gathers a share's submatrices at once and writes its slices of
+    the outputs, so the eigenvalue stacks in flight stay within one chunk.
+    Each principal submatrix goes through its own LAPACK call at one BLAS
     thread, so a support's eigenvalues depend neither on which stack it
     lands in nor on how many workers or BLAS threads the machine has.
+
+    With ``screen`` (for m <= k; above k every Gram is singular), the first
+    share is evaluated in full, split over the workers, and sets two bars,
+    the best 1 - lambda_min and lambda_max - 1 so far, which tighten under a
+    lock as shares finish.  Every later share is screened first: a support
+    that ``_cleared`` proves below both bars gets lambda_min = +inf and
+    lambda_max = -inf instead of eigenvalues, and the rest go to eigvalsh.  A
+    screened share holds its shifted copy and its Cholesky factors at once,
+    twice the doubles of its gathered submatrices.  The screen is off without
+    numpy's batched Cholesky or with a non-finite Gram.  A cleared support
+    lies strictly below both maxima, so first-index argmax reductions of
+    the outputs equal those of the unscreened eigenvalues, whatever order
+    the shares finish in.
     """
     count, size = supports.shape
     per_chunk = max(1, _GATHER_DOUBLES // (size * size))
@@ -74,14 +148,40 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray):
     workers = min(available_cores(), -(-count // per_chunk), per_chunk)
     step = per_chunk // workers
     lmin, lmax = np.empty(count), np.empty(count)
+    cholesky = batched_cholesky() if screen and count > step else None
+    if cholesky is not None and not np.isfinite(gram).all():
+        cholesky = None
+    shares = [slice(lo, lo + step) for lo in range(0, count, step)]
+    if cholesky is not None:
+        # the first share, split over the workers, sets the bars before any
+        # share is screened
+        head = -(-step // workers)
+        shares[:1] = [slice(lo, min(lo + head, step)) for lo in range(0, step, head)]
+    bars = [-math.inf, -math.inf]
+    lock = threading.Lock()
 
-    def stack(lo):
-        idx = supports[lo:lo + step]
+    def stack(rows):
+        idx = supports[rows]
+        if cholesky is not None and rows.start >= step:
+            with lock:
+                bar_low, bar_high = bars
+            # bars stay -inf until a share finishes, which with fewer first-share
+            # pieces than workers can be after a later share starts
+            if math.isfinite(bar_low) and math.isfinite(bar_high):
+                cleared = _cleared(gram, idx, bar_low, bar_high, cholesky)
+                lmin[rows][cleared], lmax[rows][cleared] = math.inf, -math.inf
+                idx, rows = idx[~cleared], rows.start + np.flatnonzero(~cleared)
+            if not len(idx):
+                return
         eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-        lmin[lo:lo + step], lmax[lo:lo + step] = eigs[:, 0], eigs[:, -1]
+        lmin[rows], lmax[rows] = eigs[:, 0], eigs[:, -1]
+        if cholesky is not None:
+            low, high = np.max(1.0 - eigs[:, 0]), np.max(eigs[:, -1] - 1.0)
+            with lock:
+                bars[0], bars[1] = max(bars[0], float(low)), max(bars[1], float(high))
 
     with blas_threads(1):
-        parallel_map(stack, range(0, count, step), threads=workers)
+        parallel_map(stack, shares, threads=workers)
     return lmin, lmax
 
 
@@ -151,7 +251,7 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
     supports = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m.n), sparsity)),
         dtype=np.intp, count=count * sparsity).reshape(count, sparsity)
-    lmin, lmax = _extremal_eigs(gram, supports)
+    lmin, lmax = _extremal_eigs(gram, supports, screen=sparsity <= m.k)
     return _report_from_deviations(sparsity, EXACT_METHOD, 1.0 - lmin, lmax - 1.0,
                                    supports, n=m.n)
 
@@ -183,18 +283,21 @@ def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
 
 
 def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
-                    seed: int) -> RipReport:
+                    seed: int, budget: int = 2_000_000) -> RipReport:
     """Sampled lower bound on the exact accuracy over uniform random supports.
 
     Each trial index owns its own seeded support draw, so results are
     independent of execution order.  Supports go through the same
     eigenvalue kernel as ``rip_exact``, so a run that draws every support
-    reproduces the exact theta bit for bit.
+    reproduces the exact theta bit for bit.  More than ``budget`` trials
+    raise ``BudgetError`` before any support is drawn.
     """
     if trials < 1:
         raise InvalidSpecError("trials must be >= 1")
     if not (1 <= sparsity <= m.n):
-        raise InvalidSpecError("sparsity exceeds ambient dimension")
+        raise InvalidSpecError("need 1 <= sparsity <= n")
+    if trials > budget:
+        raise BudgetError(f"{trials} trials exceed budget {budget} supports")
     gram = _gram(m)
     rng = np.random.Generator(np.random.Philox())
     offsets = np.empty((trials, sparsity), dtype=np.int64)
@@ -203,7 +306,7 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
         rekey(rng.bit_generator, derive_seed(seed, "rip-mc", t))
         offsets[t] = _fisher_yates_offsets(rng, m.n, sparsity)
     supports = np.sort(_fisher_yates_rows(offsets, m.n), axis=1)
-    lmin, lmax = _extremal_eigs(gram, supports)
+    lmin, lmax = _extremal_eigs(gram, supports, screen=sparsity <= m.k)
     return _report_from_deviations(sparsity, MC_METHOD, 1.0 - lmin, lmax - 1.0, supports,
                                    trials=trials, n=m.n)
 
@@ -238,7 +341,7 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
         report = rip_exact(m, bound, budget=budget)
         lower_only = False
     elif method == MC_METHOD:
-        report = rip_monte_carlo(m, bound, trials, seed)
+        report = rip_monte_carlo(m, bound, trials, seed, budget=budget)
         lower_only = True
     else:
         raise InvalidSpecError(f"unknown method {method!r}")

@@ -100,6 +100,22 @@ def test_rip_budget_exit_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rip", "--kind", "bernoulli", "--n", 16, "--k", 8, "--seed", 1, "--sparsity", 3,
+     "--trials", 100_000_000_000],
+    ["uup", "--kind", "bernoulli", "--n", 16, "--k", 8, "--theta", 0.5, "--lam", 2.0,
+     "--seeds", "0:2", "--trials", 100_000_000_000],
+    ["rip", "--kind", "bernoulli", "--n", 16, "--k", 8, "--seed", 1, "--sparsity", 3,
+     "--trials", 101, "--budget", 100],
+], ids=["rip", "uup", "rip-budget-flag"])
+def test_mc_trials_over_budget_exit_3(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--method", "mc", "--out", out]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
+    assert not out.exists()
+
+
 def test_uup_sweep_pass_fraction(tmp_path, capsys):
     out = tmp_path / "uup.csv"
     assert run(["uup", "--kind", "bernoulli", "--n", 6, "--k", 3, "--theta",

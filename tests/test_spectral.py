@@ -2,19 +2,21 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from riplab import spectral
-from riplab._util import philox
+from riplab._util import batched_cholesky, blas_threads, philox
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate, row_normalize
 from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
 from riplab.geometry import BallDescriptor
 from riplab.nets import Net, sparse_set_net
-from riplab.spectral import (SupportSet, check_uup, fisher_yates_prefix,
-                             gram_extremal_eigs, rip_exact, rip_monte_carlo,
-                             verify_on_net)
+from riplab.spectral import (EXACT_METHOD, MC_METHOD, RipReport, SupportSet, check_uup,
+                             fisher_yates_prefix, gram_extremal_eigs, rip_exact,
+                             rip_monte_carlo, verify_on_net)
 
 
 def scaled_identity(n):
@@ -64,19 +66,179 @@ def test_reports_do_not_depend_on_core_count(run, cores, monkeypatch):
     m = generate(EnsembleSpec("gaussian", n=10, k=6, seed=3))
     whole = run(m)
     budget = 16 * 3 * 3
+    first = 16 // cores             # the first share: one chunk over the workers
+    stacks, evaluated, runs = [], Counter(), []
+    eigvalsh, kernel = np.linalg.eigvalsh, spectral._extremal_eigs
+
+    def spy(a):
+        stacks.append(a.size)
+        evaluated.update(sub.tobytes() for sub in a)
+        return eigvalsh(a)
+
+    def kernel_spy(gram, supports, **kwargs):
+        runs.append((gram, supports))
+        return kernel(gram, supports, **kwargs)
+
+    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", budget)
+    monkeypatch.setattr(spectral, "available_cores", lambda: cores)
+    monkeypatch.setattr(spectral, "_extremal_eigs", kernel_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert run(m) == whole
+    (gram, supports), = runs
+    subs = [gram[np.ix_(sup, sup)].tobytes() for sup in supports]
+    # the first share in full, and no support (trial) evaluated twice
+    assert Counter(subs[:first]) <= evaluated <= Counter(subs)
+    assert max(stacks) <= budget // cores    # doubles in flight stay within one chunk
+
+
+def _scaled(m, factor):
+    return MeasurementMatrix(entries=m.entries * factor, spec=m.spec, normalization="raw")
+
+
+def _with_inf(m):
+    entries = m.entries.copy()
+    entries[0, 0] = np.inf
+    return MeasurementMatrix(entries=entries, spec=m.spec, normalization="raw")
+
+
+def _mc_supports(n, sparsity, trials, seed):
+    return np.array([np.sort(fisher_yates_prefix(philox(seed, "rip-mc", t), n, sparsity))
+                     for t in range(trials)])
+
+
+def _unscreened(m, sparsity, supports, method, trials=None):
+    """eigvalsh on every gathered submatrix, then first-index argmax of each deviation."""
+    gram = spectral._gram(m)
+    with blas_threads(1):
+        eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    lows, highs = 1.0 - eigs[:, 0], eigs[:, -1] - 1.0
+    i, j = int(np.argmax(lows)), int(np.argmax(highs))
+    return RipReport(m=sparsity, theta_lower=float(lows[i]), theta_upper=float(highs[j]),
+                     theta=max(float(lows[i]), float(highs[j]), 0.0), method=method,
+                     witness_min=SupportSet.of(supports[i], m.n),
+                     witness_max=SupportSet.of(supports[j], m.n), trials=trials)
+
+
+def _outcome(call):
+    try:
+        return call().to_json()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+def _near_copies(seed, copies=3):
+    """Copies of a 4 x 4 Gaussian matrix, each column scaled by 1 + j 2^-52, |j| <= 4.
+
+    A support holding near-copies of a column is singular up to rounding,
+    so which one wins the lambda_min race is decided in the last bits.
+    """
+    rng = np.random.default_rng(seed)
+    base = generate(EnsembleSpec("gaussian", n=4, k=4, seed=seed)).entries
+    entries = np.concatenate([base * (1 + rng.integers(-4, 5, size=4) * 2.0 ** -52)
+                              for _ in range(copies)], axis=1)
+    spec = EnsembleSpec("gaussian", n=entries.shape[1], k=4, seed=seed)
+    return MeasurementMatrix(entries=entries, spec=spec, normalization="raw")
+
+
+BERNOULLI_DUPLICATES = generate(EnsembleSpec("bernoulli", n=40, k=4, seed=2))
+GAUSSIAN = generate(EnsembleSpec("gaussian", n=12, k=4, seed=7))
+SCREEN_CASES = {
+    # (matrix, sparsity, whether some support must skip eigvalsh)
+    "bernoulli-duplicate-columns": (BERNOULLI_DUPLICATES, 3, True),
+    "near-copied-columns": (_near_copies(1), 3, True),
+    "gaussian-m-eq-k": (GAUSSIAN, 4, True),
+    "gaussian-m-gt-k": (GAUSSIAN, 6, False),
+    "scaled-identity-ties": (scaled_identity(9), 3, False),
+    "scale-1e-9": (_scaled(GAUSSIAN, 1e-9), 3, False),
+    "scale-1e9": (_scaled(GAUSSIAN, 1e9), 3, True),
+    "inf-entry": (_with_inf(GAUSSIAN), 3, None),        # eigvalsh raises
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("case", SCREEN_CASES)
+@pytest.mark.parametrize("method", [EXACT_METHOD, MC_METHOD])
+def test_screening_changes_no_report(method, case, cores, monkeypatch):
+    m, sparsity, screens = SCREEN_CASES[case]
+    if method == EXACT_METHOD:
+        supports = np.array(list(itertools.combinations(range(m.n), sparsity)))
+        run = lambda: rip_exact(m, sparsity)
+    else:
+        supports = _mc_supports(m.n, sparsity, 400, seed=5)
+        run = lambda: rip_monte_carlo(m, sparsity, 400, seed=5)
+    trials = None if method == EXACT_METHOD else len(supports)
+    reference = _outcome(lambda: _unscreened(m, sparsity, supports, method, trials))
+    evaluated = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        evaluated.append(len(a))
+        return eigvalsh(a)
+
+    # chunks of 4 supports
+    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", 4 * sparsity * sparsity)
+    monkeypatch.setattr(spectral, "available_cores", lambda: cores)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert _outcome(run) == reference
+    if case == "scaled-identity-ties":       # every support ties: the first one wins
+        assert json.loads(reference)["witness_min"] == supports[0].tolist()
+    if screens is not None:
+        assert (sum(evaluated) < len(supports)) == screens
+
+
+def test_screening_holds_under_fast_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond, so shares
+    # finish and tighten the shared bars in many orders
+    m, sparsity, _ = SCREEN_CASES["near-copied-columns"]
+    supports = _mc_supports(m.n, sparsity, 2000, seed=9)
+    reference = _unscreened(m, sparsity, supports, MC_METHOD, len(supports))
+    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", 4 * sparsity * sparsity)
+    monkeypatch.setattr(spectral, "available_cores", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert rip_monte_carlo(m, sparsity, 2000, seed=9) == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failed_batched_cholesky_is_nan():
+    # the screen reads a failed factorization from numpy's private gufunc as NaN
+    cholesky = np.linalg._umath_linalg.cholesky_lo
+    stack = np.array([[[4.0, 2.0], [2.0, 3.0]], [[1.0, 2.0], [2.0, 1.0]],
+                      [[-1.0, 0.0], [0.0, 1.0]]])
+    with np.errstate(invalid="ignore"):
+        factors = cholesky(stack)
+    assert np.allclose(factors[0], np.linalg.cholesky(stack[0]))
+    assert np.isnan(factors[1:]).all()
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: rip_exact(m, 3),
+    lambda m: rip_monte_carlo(m, 3, trials=500, seed=2),
+], ids=["exact", "monte-carlo"])
+def test_without_batched_cholesky_every_support_is_evaluated(run, monkeypatch):
+    m = generate(EnsembleSpec("gaussian", n=10, k=6, seed=3))
+    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", 16 * 3 * 3)
+    whole = run(m)
     stacks = []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(a):
-        stacks.append(a.size)
+        stacks.append(len(a))
         return eigvalsh(a)
 
-    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", budget)
-    monkeypatch.setattr(spectral, "available_cores", lambda: cores)
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    assert run(m) == whole
-    assert sum(stacks) == 9 * (120 if whole.trials is None else 500)
-    assert max(stacks) <= budget // cores    # doubles in flight stay within one chunk
+    with monkeypatch.context() as patch:
+        patch.delattr(np.linalg._umath_linalg, "cholesky_lo")
+        batched_cholesky.cache_clear()
+        try:
+            assert batched_cholesky() is None
+            assert run(m) == whole
+        finally:
+            batched_cholesky.cache_clear()
+    assert sum(stacks) == (120 if whole.trials is None else 500)
 
 
 def test_gram_eigs_identity_blocks():
@@ -179,6 +341,25 @@ def test_rip_exact_budget_error_mentions_mc():
         rip_exact(m, 10, budget=1000)
 
 
+def test_rip_mc_trials_over_budget_raise_before_drawing():
+    m = generate(EnsembleSpec("bernoulli", n=16, k=8, seed=1))
+    with pytest.raises(BudgetError, match="101 trials exceed budget 100"):
+        rip_monte_carlo(m, 3, trials=101, seed=0, budget=100)
+    assert rip_monte_carlo(m, 3, trials=100, seed=0, budget=100).trials == 100
+    # the default budget refuses trials whose offsets alone would not fit in memory
+    with pytest.raises(BudgetError):
+        rip_monte_carlo(m, 3, trials=10 ** 11, seed=0)
+    with pytest.raises(BudgetError):
+        check_uup(m, 0.5, 2.0, method=MC_METHOD, trials=101, budget=100)
+
+
+@pytest.mark.parametrize("sparsity", [0, 17])
+def test_rip_mc_sparsity_out_of_range(sparsity):
+    m = generate(EnsembleSpec("bernoulli", n=16, k=8, seed=1))
+    with pytest.raises(InvalidSpecError, match="need 1 <= sparsity <= n"):
+        rip_monte_carlo(m, sparsity, trials=10, seed=0)
+
+
 def test_rip_exact_matches_dense_grid_oracle_small():
     # vector form of the definition on a dense unit-sphere grid per support
     m = generate(EnsembleSpec("gaussian", n=6, k=4, seed=8))
@@ -260,9 +441,9 @@ def test_rip_mc_supports_are_prefixes_of_one_stream(monkeypatch):
     captured = []
     kernel = spectral._extremal_eigs
 
-    def spy(gram, supports):
+    def spy(gram, supports, **kwargs):
         captured.append(supports.copy())
-        return kernel(gram, supports)
+        return kernel(gram, supports, **kwargs)
 
     monkeypatch.setattr(spectral, "_extremal_eigs", spy)
     mat = generate(EnsembleSpec("bernoulli", n=40, k=20, seed=5))
