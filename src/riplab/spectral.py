@@ -66,10 +66,17 @@ _GATHER_DOUBLES = 1 << 20
 _U = 2.0 ** -53             # unit roundoff of binary64
 
 
-def _factor_completes(h, cholesky):
-    """Mask of the matrices of the (s, m, m) stack h whose Cholesky factors complete."""
+def _factor_completes(h, factors, cholesky):
+    """Mask of the matrices of the symmetric (s, m, m) stack h whose Cholesky factors complete.
+
+    The factors go to ``factors``, an (s, m, m) C-ordered stack.  Both
+    stacks reach the gufunc as transposed, Fortran-ordered views: for a
+    symmetric h that is the same matrix, so LAPACK gets the same input,
+    while numpy's copies to and from its column-major buffers walk memory
+    with unit stride instead of a stride of m doubles.
+    """
     with np.errstate(all="ignore"):
-        factors = cholesky(h)
+        cholesky(h.transpose(0, 2, 1), out=factors.transpose(0, 2, 1))
     # a failed factorization comes back filled with NaN
     return np.isfinite(factors.reshape(len(h), -1)[:, ::h.shape[-1] + 1]).all(axis=1)
 
@@ -98,7 +105,10 @@ def _cleared(gram, idx, bar_low, bar_high, cholesky):
     a cleared row's fl(1 - lambda_min) and fl(lambda_max - 1) lie
     strictly below the bars: it can neither beat nor tie a support that
     eigvalsh saw.  Both shifted matrices are built in place in one
-    gathered stack, so the stack and one stack of factors are in flight.
+    gathered stack and factored into one reused stack of factors, so two
+    stacks are in flight.  The gathered stack is exactly symmetric, since
+    ``_gram`` is, and the diagonal shifts keep it so, which lets
+    ``_factor_completes`` factor it through transposed views.
     """
     m = idx.shape[1]
     h = gram[idx[:, :, None], idx[:, None, :]]
@@ -108,13 +118,14 @@ def _cleared(gram, idx, bar_low, bar_high, cholesky):
     t = bar_high + 1.0
     np.negative(h, out=h)
     diag[...] = (t - _margin(m, t, sums, bar_high))[:, None] - a
-    ok = _factor_completes(h, cholesky)
+    factors = np.empty_like(h)
+    ok = _factor_completes(h, factors, cholesky)
     if not ok.any():
         return ok
     t = 1.0 - bar_low
     np.negative(h, out=h)
     diag[...] = a - (t + _margin(m, t, sums, bar_low))[:, None]
-    return ok & _factor_completes(h, cholesky)
+    return ok & _factor_completes(h, factors, cholesky)
 
 
 def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False):
@@ -137,10 +148,9 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
     lambda_max = -inf instead of eigenvalues, and the rest go to eigvalsh.  A
     screened share holds its shifted copy and its Cholesky factors at once,
     twice the doubles of its gathered submatrices.  The screen is off without
-    numpy's batched Cholesky or with a non-finite Gram.  A cleared support
-    lies strictly below both maxima, so first-index argmax reductions of
-    the outputs equal those of the unscreened eigenvalues, whatever order
-    the shares finish in.
+    numpy's batched Cholesky.  A cleared support lies strictly below both
+    maxima, so first-index argmax reductions of the outputs equal those of
+    the unscreened eigenvalues, whatever order the shares finish in.
     """
     count, size = supports.shape
     per_chunk = max(1, _GATHER_DOUBLES // (size * size))
@@ -149,8 +159,6 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
     step = per_chunk // workers
     lmin, lmax = np.empty(count), np.empty(count)
     cholesky = batched_cholesky() if screen and count > step else None
-    if cholesky is not None and not np.isfinite(gram).all():
-        cholesky = None
     shares = [slice(lo, lo + step) for lo in range(0, count, step)]
     if cholesky is not None:
         # the first share, split over the workers, sets the bars before any
@@ -186,11 +194,21 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
 
 
 def _gram(m: MeasurementMatrix, cols=slice(None)) -> np.ndarray:
-    """(G_cols^T G_cols)/k of the raw matrix, all columns by default."""
+    """(G_cols^T G_cols)/k of the raw matrix, all columns by default.
+
+    The result is exactly symmetric: numpy computes the product of a
+    C-ordered g with its own transpose as one BLAS syrk and mirrors the
+    triangle it gets.  A non-finite entry, or a product that overflows,
+    raises ``InvalidSpecError``.
+    """
     if m.normalization != RAW:
         raise InvalidSpecError("pass the raw matrix; division by k is internal")
-    g = m.entries[:, cols]
-    return g.T @ g / m.k
+    g = np.ascontiguousarray(m.entries[:, cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = g.T @ g / m.k
+    if not np.isfinite(gram).all():
+        raise InvalidSpecError("the Gram matrix of the entries is not finite")
+    return gram
 
 
 def gram_extremal_eigs(m: MeasurementMatrix, a: SupportSet) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import pytest
 
 from riplab import spectral
 from riplab._util import batched_cholesky, blas_threads, philox
-from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate, row_normalize
+from riplab.ensembles import KINDS, EnsembleSpec, MeasurementMatrix, generate, row_normalize
 from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
 from riplab.geometry import BallDescriptor
 from riplab.nets import Net, sparse_set_net
@@ -95,9 +95,9 @@ def _scaled(m, factor):
     return MeasurementMatrix(entries=m.entries * factor, spec=m.spec, normalization="raw")
 
 
-def _with_inf(m):
+def _with_entry(m, value):
     entries = m.entries.copy()
-    entries[0, 0] = np.inf
+    entries[0, 0] = value
     return MeasurementMatrix(entries=entries, spec=m.spec, normalization="raw")
 
 
@@ -110,7 +110,8 @@ def _unscreened(m, sparsity, supports, method, trials=None):
     """eigvalsh on every gathered submatrix, then first-index argmax of each deviation."""
     gram = spectral._gram(m)
     with blas_threads(1):
-        eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+        eigs = np.concatenate([np.linalg.eigvalsh(gram[s[:, :, None], s[:, None, :]])
+                               for s in np.array_split(supports, -(-len(supports) // 64))])
     lows, highs = 1.0 - eigs[:, 0], eigs[:, -1] - 1.0
     i, j = int(np.argmax(lows)), int(np.argmax(highs))
     return RipReport(m=sparsity, theta_lower=float(lows[i]), theta_upper=float(highs[j]),
@@ -122,7 +123,7 @@ def _unscreened(m, sparsity, supports, method, trials=None):
 def _outcome(call):
     try:
         return call().to_json()
-    except np.linalg.LinAlgError as exc:
+    except InvalidSpecError as exc:
         return repr(exc)
 
 
@@ -151,7 +152,9 @@ SCREEN_CASES = {
     "scaled-identity-ties": (scaled_identity(9), 3, False),
     "scale-1e-9": (_scaled(GAUSSIAN, 1e-9), 3, False),
     "scale-1e9": (_scaled(GAUSSIAN, 1e9), 3, True),
-    "inf-entry": (_with_inf(GAUSSIAN), 3, None),        # eigvalsh raises
+    # a Gram matrix that is not finite raises InvalidSpecError
+    "inf-entry": (_with_entry(GAUSSIAN, np.inf), 3, None),
+    "overflow": (_scaled(GAUSSIAN, 1e200), 3, None),
 }
 
 
@@ -182,7 +185,9 @@ def test_screening_changes_no_report(method, case, cores, monkeypatch):
     assert _outcome(run) == reference
     if case == "scaled-identity-ties":       # every support ties: the first one wins
         assert json.loads(reference)["witness_min"] == supports[0].tolist()
-    if screens is not None:
+    if screens is None:
+        assert reference.startswith("InvalidSpecError(") and not evaluated
+    else:
         assert (sum(evaluated) < len(supports)) == screens
 
 
@@ -212,6 +217,53 @@ def test_failed_batched_cholesky_is_nan():
         factors = cholesky(stack)
     assert np.allclose(factors[0], np.linalg.cholesky(stack[0]))
     assert np.isnan(factors[1:]).all()
+    # and so does the transposed call with out= that the screen makes
+    out = np.zeros_like(stack)
+    assert spectral._factor_completes(stack, out, cholesky).tolist() == [True, False, False]
+    assert np.array_equal(out.transpose(0, 2, 1), factors, equal_nan=True)
+
+
+@pytest.mark.parametrize("size", [3, 32, 128])
+def test_transposed_cholesky_matches_c_ordered(size):
+    # the screen factors exactly symmetric stacks through transposed views;
+    # that must give the C-ordered call's factors, NaN fills and masks
+    cholesky = batched_cholesky()
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((16, size, size + 2))
+    h = a @ a.transpose(0, 2, 1)
+    h += h.transpose(0, 2, 1).copy()
+    lam = np.linalg.eigvalsh(h)[:, 0]
+    # shifts below, near and past lambda_min: rows shifted past it by a
+    # relative 1e-6 or more fail, rows within 1e-13 of it may go either way
+    ratio = np.array([0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 1.5, 1e3, 1 - 1e-13, 1 + 1e-13] * 2)
+    h[:, np.arange(size), np.arange(size)] -= (ratio * lam)[:, None]
+    assert np.array_equal(h, h.transpose(0, 2, 1))
+    with np.errstate(invalid="ignore"):
+        c_ordered = cholesky(h)
+    factors = np.empty_like(h)
+    ok = spectral._factor_completes(h, factors, cholesky)
+    assert np.array_equal(factors.transpose(0, 2, 1), c_ordered, equal_nan=True)
+    assert np.array_equal(ok, ~np.isnan(c_ordered).any(axis=(1, 2)))
+    assert np.isnan(factors[~ok]).all() and np.isfinite(factors[ok]).all()
+    assert ok[ratio < 1 - 1e-7].all() and not ok[ratio > 1 + 1e-7].any()
+
+
+def test_screening_at_production_size(monkeypatch):
+    # criterion 4's size: 600 supports of 128 columns in shares of 64 // cores,
+    # on a matrix and trial seed not used to tune the screen
+    m = generate(EnsembleSpec("bernoulli", n=512, k=128, seed=11))
+    supports = _mc_supports(512, 128, 600, seed=11)
+    reference = _unscreened(m, 128, supports, MC_METHOD, 600)
+    evaluated = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        evaluated.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert rip_monte_carlo(m, 128, 600, seed=11) == reference
+    assert sum(evaluated) < 600
 
 
 @pytest.mark.parametrize("run", [
@@ -276,6 +328,45 @@ def test_gram_eigs_errors():
         gram_extremal_eigs(m, SupportSet(indices=(), n=8))
     with pytest.raises(InvalidSpecError):
         gram_extremal_eigs(row_normalize(m), SupportSet(indices=(0,), n=8))
+
+
+@pytest.mark.parametrize("entries", ["inf-entry", "nan-entry", "overflow"])
+@pytest.mark.parametrize("call", [
+    lambda m: rip_exact(m, 2),
+    lambda m: rip_monte_carlo(m, 2, trials=10, seed=1),
+    lambda m: gram_extremal_eigs(m, SupportSet(indices=(0, 1), n=m.n)),
+    lambda m: check_uup(m, 0.5, 2.0),
+], ids=["exact", "monte-carlo", "gram-eigs", "check-uup"])
+def test_non_finite_gram_raises_invalid_spec(call, entries):
+    m = generate(EnsembleSpec("gaussian", n=6, k=4, seed=2))
+    if entries == "overflow":           # finite entries whose Gram overflows
+        m = _scaled(m, 1e200)
+    else:
+        m = _with_entry(m, np.inf if entries == "inf-entry" else np.nan)
+    with pytest.raises(InvalidSpecError, match="not finite"):
+        call(m)
+
+
+THREE_POINT = ((-math.sqrt(2.0), 0.25), (0.0, 0.5), (math.sqrt(2.0), 0.25))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gram_is_exactly_symmetric(kind):
+    # the Cholesky screen factors gathered Gram submatrices through
+    # transposed views, which is the same matrix only if the Gram is symmetric
+    support = THREE_POINT if kind == "custom-bounded-symmetric" else None
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 45, 255, 699):
+        for k in sorted({1, max(1, n // 2), n}):
+            m = generate(EnsembleSpec(kind, n=n, k=k, seed=n + k, support=support))
+            cols = np.sort(rng.choice(n, size=max(1, n // 3), replace=False)).tolist()
+            # the same entries in a column-strided array
+            strided = MeasurementMatrix(entries=np.repeat(m.entries, 2, axis=1)[:, ::2],
+                                        spec=m.spec, normalization="raw")
+            gram = spectral._gram(m)
+            assert np.array_equal(spectral._gram(strided), gram)
+            for g in (gram, spectral._gram(m, cols)):
+                assert np.array_equal(g, g.T)
 
 
 def test_support_set_validation():
