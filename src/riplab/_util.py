@@ -85,22 +85,6 @@ def _openblas_threads():
     return get, set_
 
 
-@functools.cache
-def batched_cholesky():
-    """numpy's stacked LAPACK Cholesky gufunc (lower factors), or None without it.
-
-    ``np.linalg.cholesky`` raises on the first matrix of a stack that is
-    not positive definite; the private gufunc behind it factors every
-    matrix and, under ``errstate(invalid="ignore")``, fills a failed
-    factor with NaN instead.
-    """
-    try:
-        return np.linalg._umath_linalg.cholesky_lo
-    except AttributeError as exc:
-        log.debug("batched Cholesky unavailable: %s", exc)
-        return None
-
-
 # caps of the blas_threads blocks open in any thread, and the count before the first
 _blas_lock = threading.Lock()
 _blas_caps: list[int] = []

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._util import atomic_write_bytes, derive_seed, philox, rekey
 from .errors import InvalidSpecError, NormalizationError
+from .geometry import row_norms
 
 KINDS = ("gaussian", "bernoulli", "uniform-sphere-row", "custom-bounded-symmetric")
 
@@ -195,10 +196,7 @@ def sample_rows(kind: str, n: int, seed: int, rows: range | list,
         out[lo:lo + len(block)] = _entries(kind, draw, len(block) * n,
                                            support).reshape(-1, n)
     if kind == "uniform-sphere-row":
-        # the 1-D norm (a dot product) of each row, not a batched norm that
-        # sums in another order
-        for row in out:
-            row *= math.sqrt(n) / np.linalg.norm(row)
+        out *= (math.sqrt(n) / row_norms(out))[:, None]
     return out
 
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (available_cores, batched_cholesky, blas_threads, derive_seed,
-                    parallel_map, rekey)
+from ._util import available_cores, blas_threads, derive_seed, parallel_map, rekey
 from .ensembles import RAW, ROW_NORMALIZED, MeasurementMatrix
 from .errors import BudgetError, EmptySupportError, InvalidSpecError
 from .nets import Net
@@ -66,17 +65,21 @@ _GATHER_DOUBLES = 1 << 20
 _U = 2.0 ** -53             # unit roundoff of binary64
 
 
-def _factor_completes(h, factors, cholesky):
+def _factor_completes(h, factors):
     """Mask of the matrices of the symmetric (s, m, m) stack h whose Cholesky factors complete.
 
-    The factors go to ``factors``, an (s, m, m) C-ordered stack.  Both
-    stacks reach the gufunc as transposed, Fortran-ordered views: for a
-    symmetric h that is the same matrix, so LAPACK gets the same input,
-    while numpy's copies to and from its column-major buffers walk memory
-    with unit stride instead of a stride of m doubles.
+    numpy's stacked gufunc behind ``np.linalg.cholesky``, looked up per
+    call so that importing riplab does not need it, factors every matrix
+    and fills a failed factor with NaN.  The factors go to ``factors``, an
+    (s, m, m) C-ordered stack.  Both stacks reach the gufunc as transposed,
+    Fortran-ordered views: for a symmetric h that is the same matrix, so
+    LAPACK gets the same input, while numpy's copies to and from its
+    column-major buffers walk memory with unit stride instead of a stride
+    of m doubles.
     """
     with np.errstate(all="ignore"):
-        cholesky(h.transpose(0, 2, 1), out=factors.transpose(0, 2, 1))
+        np.linalg._umath_linalg.cholesky_lo(h.transpose(0, 2, 1),
+                                            out=factors.transpose(0, 2, 1))
     # a failed factorization comes back filled with NaN
     return np.isfinite(factors.reshape(len(h), -1)[:, ::h.shape[-1] + 1]).all(axis=1)
 
@@ -87,7 +90,7 @@ def _margin(m, t, diag_sums, bar):
     return 6 * g * (m * abs(t) + diag_sums) + 5 * _U * max(1.0, abs(bar))
 
 
-def _cleared(gram, idx, bar_low, bar_high, cholesky):
+def _cleared(gram, idx, bar_low, bar_high):
     """Mask of the rows A of idx proven to stay below both bars.
 
     bar_low and bar_high are the best fl(1 - lambda_min) and
@@ -119,13 +122,13 @@ def _cleared(gram, idx, bar_low, bar_high, cholesky):
     np.negative(h, out=h)
     diag[...] = (t - _margin(m, t, sums, bar_high))[:, None] - a
     factors = np.empty_like(h)
-    ok = _factor_completes(h, factors, cholesky)
+    ok = _factor_completes(h, factors)
     if not ok.any():
         return ok
     t = 1.0 - bar_low
     np.negative(h, out=h)
     diag[...] = a - (t + _margin(m, t, sums, bar_low))[:, None]
-    return ok & _factor_completes(h, factors, cholesky)
+    return ok & _factor_completes(h, factors)
 
 
 def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False):
@@ -147,10 +150,10 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
     that ``_cleared`` proves below both bars gets lambda_min = +inf and
     lambda_max = -inf instead of eigenvalues, and the rest go to eigvalsh.  A
     screened share holds its shifted copy and its Cholesky factors at once,
-    twice the doubles of its gathered submatrices.  The screen is off without
-    numpy's batched Cholesky.  A cleared support lies strictly below both
-    maxima, so first-index argmax reductions of the outputs equal those of
-    the unscreened eigenvalues, whatever order the shares finish in.
+    twice the doubles of its gathered submatrices.  A cleared support lies
+    strictly below both maxima, so first-index argmax reductions of the
+    outputs equal those of the unscreened eigenvalues, whatever order the
+    shares finish in.
     """
     count, size = supports.shape
     per_chunk = max(1, _GATHER_DOUBLES // (size * size))
@@ -158,9 +161,9 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
     workers = min(available_cores(), -(-count // per_chunk), per_chunk)
     step = per_chunk // workers
     lmin, lmax = np.empty(count), np.empty(count)
-    cholesky = batched_cholesky() if screen and count > step else None
+    screening = screen and count > step
     shares = [slice(lo, lo + step) for lo in range(0, count, step)]
-    if cholesky is not None:
+    if screening:
         # the first share, split over the workers, sets the bars before any
         # share is screened
         head = -(-step // workers)
@@ -170,20 +173,20 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
 
     def stack(rows):
         idx = supports[rows]
-        if cholesky is not None and rows.start >= step:
+        if screening and rows.start >= step:
             with lock:
                 bar_low, bar_high = bars
             # bars stay -inf until a share finishes, which with fewer first-share
             # pieces than workers can be after a later share starts
             if math.isfinite(bar_low) and math.isfinite(bar_high):
-                cleared = _cleared(gram, idx, bar_low, bar_high, cholesky)
+                cleared = _cleared(gram, idx, bar_low, bar_high)
                 lmin[rows][cleared], lmax[rows][cleared] = math.inf, -math.inf
                 idx, rows = idx[~cleared], rows.start + np.flatnonzero(~cleared)
             if not len(idx):
                 return
         eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         lmin[rows], lmax[rows] = eigs[:, 0], eigs[:, -1]
-        if cholesky is not None:
+        if screening:
             low, high = np.max(1.0 - eigs[:, 0]), np.max(eigs[:, -1] - 1.0)
             with lock:
                 bars[0], bars[1] = max(bars[0], float(low)), max(bars[1], float(high))
@@ -243,15 +246,21 @@ class RipReport:
         return json.dumps(obj)
 
 
-def _report_from_deviations(sparsity, method, lows, highs, supports, trials=None, n=0):
-    """lows/highs are per-support (1 - lmin, lmax - 1); max-reduced, order-free."""
-    i_low = int(np.argmax(lows))
-    i_high = int(np.argmax(highs))
+def _rip_report(m, sparsity, method, supports, trials=None):
+    """RipReport of m over the rows of the (s, sparsity) supports.
+
+    Each witness is the first support that maximizes its deviation, so the
+    report depends neither on the order that shares finish in nor on which
+    supports the screen (on for sparsity <= k) clears.
+    """
+    lmin, lmax = _extremal_eigs(_gram(m), supports, screen=sparsity <= m.k)
+    lows, highs = 1.0 - lmin, lmax - 1.0
+    i_low, i_high = int(np.argmax(lows)), int(np.argmax(highs))
     tl, tu = float(lows[i_low]), float(highs[i_high])
     return RipReport(m=sparsity, theta_lower=tl, theta_upper=tu,
                      theta=max(tl, tu, 0.0), method=method,
-                     witness_min=SupportSet.of(supports[i_low], n),
-                     witness_max=SupportSet.of(supports[i_high], n),
+                     witness_min=SupportSet.of(supports[i_low], m.n),
+                     witness_max=SupportSet.of(supports[i_high], m.n),
                      trials=trials)
 
 
@@ -265,13 +274,10 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
         raise BudgetError(
             f"C({m.n},{sparsity}) = {count} supports exceed budget {budget}; "
             "use rip_monte_carlo")
-    gram = _gram(m)
     supports = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m.n), sparsity)),
         dtype=np.intp, count=count * sparsity).reshape(count, sparsity)
-    lmin, lmax = _extremal_eigs(gram, supports, screen=sparsity <= m.k)
-    return _report_from_deviations(sparsity, EXACT_METHOD, 1.0 - lmin, lmax - 1.0,
-                                   supports, n=m.n)
+    return _rip_report(m, sparsity, EXACT_METHOD, supports)
 
 
 def _fisher_yates_offsets(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -316,7 +322,6 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
         raise InvalidSpecError("need 1 <= sparsity <= n")
     if trials > budget:
         raise BudgetError(f"{trials} trials exceed budget {budget} supports")
-    gram = _gram(m)
     rng = np.random.Generator(np.random.Philox())
     offsets = np.empty((trials, sparsity), dtype=np.int64)
     for t in range(trials):
@@ -324,9 +329,7 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
         rekey(rng.bit_generator, derive_seed(seed, "rip-mc", t))
         offsets[t] = _fisher_yates_offsets(rng, m.n, sparsity)
     supports = np.sort(_fisher_yates_rows(offsets, m.n), axis=1)
-    lmin, lmax = _extremal_eigs(gram, supports, screen=sparsity <= m.k)
-    return _report_from_deviations(sparsity, MC_METHOD, 1.0 - lmin, lmax - 1.0, supports,
-                                   trials=trials, n=m.n)
+    return _rip_report(m, sparsity, MC_METHOD, supports, trials=trials)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from riplab import spectral
-from riplab._util import batched_cholesky, blas_threads, philox
+from riplab._util import blas_threads, philox
 from riplab.ensembles import KINDS, EnsembleSpec, MeasurementMatrix, generate, row_normalize
 from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
 from riplab.geometry import BallDescriptor
@@ -219,7 +219,7 @@ def test_failed_batched_cholesky_is_nan():
     assert np.isnan(factors[1:]).all()
     # and so does the transposed call with out= that the screen makes
     out = np.zeros_like(stack)
-    assert spectral._factor_completes(stack, out, cholesky).tolist() == [True, False, False]
+    assert spectral._factor_completes(stack, out).tolist() == [True, False, False]
     assert np.array_equal(out.transpose(0, 2, 1), factors, equal_nan=True)
 
 
@@ -227,7 +227,7 @@ def test_failed_batched_cholesky_is_nan():
 def test_transposed_cholesky_matches_c_ordered(size):
     # the screen factors exactly symmetric stacks through transposed views;
     # that must give the C-ordered call's factors, NaN fills and masks
-    cholesky = batched_cholesky()
+    cholesky = np.linalg._umath_linalg.cholesky_lo
     rng = np.random.default_rng(size)
     a = rng.standard_normal((16, size, size + 2))
     h = a @ a.transpose(0, 2, 1)
@@ -241,19 +241,27 @@ def test_transposed_cholesky_matches_c_ordered(size):
     with np.errstate(invalid="ignore"):
         c_ordered = cholesky(h)
     factors = np.empty_like(h)
-    ok = spectral._factor_completes(h, factors, cholesky)
+    ok = spectral._factor_completes(h, factors)
     assert np.array_equal(factors.transpose(0, 2, 1), c_ordered, equal_nan=True)
     assert np.array_equal(ok, ~np.isnan(c_ordered).any(axis=(1, 2)))
     assert np.isnan(factors[~ok]).all() and np.isfinite(factors[ok]).all()
     assert ok[ratio < 1 - 1e-7].all() and not ok[ratio > 1 + 1e-7].any()
 
 
-def test_screening_at_production_size(monkeypatch):
-    # criterion 4's size: 600 supports of 128 columns in shares of 64 // cores,
-    # on a matrix and trial seed not used to tune the screen
-    m = generate(EnsembleSpec("bernoulli", n=512, k=128, seed=11))
-    supports = _mc_supports(512, 128, 600, seed=11)
-    reference = _unscreened(m, 128, supports, MC_METHOD, 600)
+@pytest.mark.parametrize("method", [EXACT_METHOD, MC_METHOD], ids=["exact", "monte-carlo"])
+def test_screening_at_production_size(method, monkeypatch):
+    # real gather chunks, on matrices and seeds not used to tune the screen:
+    # all C(24, 6) = 134 596 supports of 6 columns, and criterion 4's size,
+    # 600 supports of 128 columns in shares of 64 // cores
+    if method == EXACT_METHOD:
+        m, sparsity, trials = generate(EnsembleSpec("bernoulli", n=24, k=12, seed=17)), 6, None
+        supports = np.array(list(itertools.combinations(range(m.n), sparsity)))
+        run = lambda: rip_exact(m, sparsity)
+    else:
+        m, sparsity, trials = generate(EnsembleSpec("bernoulli", n=512, k=128, seed=11)), 128, 600
+        supports = _mc_supports(m.n, sparsity, trials, seed=11)
+        run = lambda: rip_monte_carlo(m, sparsity, trials, seed=11)
+    reference = _unscreened(m, sparsity, supports, method, trials)
     evaluated = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -262,35 +270,8 @@ def test_screening_at_production_size(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    assert rip_monte_carlo(m, 128, 600, seed=11) == reference
-    assert sum(evaluated) < 600
-
-
-@pytest.mark.parametrize("run", [
-    lambda m: rip_exact(m, 3),
-    lambda m: rip_monte_carlo(m, 3, trials=500, seed=2),
-], ids=["exact", "monte-carlo"])
-def test_without_batched_cholesky_every_support_is_evaluated(run, monkeypatch):
-    m = generate(EnsembleSpec("gaussian", n=10, k=6, seed=3))
-    monkeypatch.setattr(spectral, "_GATHER_DOUBLES", 16 * 3 * 3)
-    whole = run(m)
-    stacks = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def spy(a):
-        stacks.append(len(a))
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    with monkeypatch.context() as patch:
-        patch.delattr(np.linalg._umath_linalg, "cholesky_lo")
-        batched_cholesky.cache_clear()
-        try:
-            assert batched_cholesky() is None
-            assert run(m) == whole
-        finally:
-            batched_cholesky.cache_clear()
-    assert sum(stacks) == (120 if whole.trials is None else 500)
+    assert run() == reference
+    assert sum(evaluated) < len(supports)
 
 
 def test_gram_eigs_identity_blocks():
