@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -110,6 +110,10 @@ class MeasurementMatrix:
     entries: np.ndarray
     spec: EnsembleSpec
     normalization: str = RAW
+    # the Monte Carlo support stream of the last (trials, seed) drawn on this
+    # matrix, as [(trials, seed, rows)]; see spectral._mc_rows
+    _mc_stream: list = field(default_factory=list, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)

@@ -17,8 +17,11 @@ factorizations prove it below the best values found so far.  Every
 reported number still comes from LAPACK eigvalsh at one BLAS thread, so
 reports do not depend on the core count, the BLAS thread setting or the
 caller's threads.  Monte-Carlo supports come from one vectorized
-Fisher-Yates loop over all trials, each trial driven by its own seeded
-offsets.
+Fisher-Yates loop over blocks of trials, each trial driven by its own
+seeded offsets.  A trial's support at sparsity m is the sorted m-prefix of
+its stream, so a matrix remembers the stream of its last (trials, seed),
+trials x width int64, and later calls at any sparsity within that width
+reuse it.
 """
 
 from __future__ import annotations
@@ -288,17 +291,25 @@ def _fisher_yates_offsets(rng: np.random.Generator, n: int, m: int) -> np.ndarra
 def _fisher_yates_rows(offsets: np.ndarray, n: int) -> np.ndarray:
     """First m entries of the shuffle of range(n) that each row of (rows, m) offsets drives.
 
-    Step j runs for every row at once, so the loop is m numpy steps.
+    Rows are shuffled in blocks whose (block, n) working array stays within
+    ``_GATHER_DOUBLES``, and only the first m columns of each are kept.
+    Step j runs for every row of a block at once, so a block is m numpy
+    steps.  Rows are independent, so the blocking changes no entry.
     """
     rows, m = offsets.shape
-    arr = np.tile(np.arange(n), (rows, 1))
-    r = np.arange(rows)
-    for j in range(m):
-        swap = j + offsets[:, j]
-        head = arr[:, j].copy()
-        arr[:, j] = arr[r, swap]
-        arr[r, swap] = head
-    return arr[:, :m]
+    out = np.empty((rows, m), dtype=np.intp)
+    block = max(1, _GATHER_DOUBLES // n)
+    for lo in range(0, rows, block):
+        part = offsets[lo:lo + block]
+        arr = np.tile(np.arange(n), (len(part), 1))
+        r = np.arange(len(part))
+        for j in range(m):
+            swap = j + part[:, j]
+            head = arr[:, j].copy()
+            arr[:, j] = arr[r, swap]
+            arr[r, swap] = head
+        out[lo:lo + block] = arr[:, :m]
+    return out
 
 
 def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -306,12 +317,55 @@ def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return _fisher_yates_rows(_fisher_yates_offsets(rng, n, m)[None], n)[0]
 
 
+# guards the check-and-set of a matrix's remembered support stream
+_mc_lock = threading.Lock()
+
+
+def _mc_rows(m: MeasurementMatrix, sparsity: int, trials: int, seed: int) -> np.ndarray:
+    """Fisher-Yates rows, at least ``sparsity`` wide, of m's stream for (trials, seed).
+
+    Row t is the start of the shuffle of range(n) that the draws of
+    philox(seed, "rip-mc", t) drive; a narrower width gives its prefix.  The
+    matrix remembers one (trials, seed) stream, and a call with another key
+    replaces it.  The first draw for a key is exactly ``sparsity`` wide, so
+    a one-shot call does no extra work; a wider request later redraws at
+    min(n, 2 sparsity), so a search that grows m draws O(log m) times.  A
+    narrower draw that finishes after a wider one (threads mapping
+    sparsities over one matrix) does not replace it.
+    """
+    with _mc_lock:
+        held = m._mc_stream[0] if m._mc_stream else None
+    if held is not None and held[:2] == (trials, seed):
+        if held[2].shape[1] >= sparsity:
+            return held[2]
+        width = min(m.n, 2 * sparsity)
+    else:
+        width = sparsity
+    rng = np.random.Generator(np.random.Philox())
+    offsets = np.empty((trials, width), dtype=np.int64)
+    for t in range(trials):
+        # the draws of philox(seed, "rip-mc", t)
+        rekey(rng.bit_generator, derive_seed(seed, "rip-mc", t))
+        offsets[t] = _fisher_yates_offsets(rng, m.n, width)
+    rows = _fisher_yates_rows(offsets, m.n)
+    rows.setflags(write=False)
+    with _mc_lock:
+        held = m._mc_stream[0] if m._mc_stream else None
+        if held is None or held[:2] != (trials, seed) or held[2].shape[1] < width:
+            m._mc_stream[:] = [(trials, seed, rows)]
+    return rows
+
+
 def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
                     seed: int, budget: int = 2_000_000) -> RipReport:
     """Sampled lower bound on the exact accuracy over uniform random supports.
 
     Each trial index owns its own seeded support draw, so results are
-    independent of execution order.  Supports go through the same
+    independent of execution order.  A trial's support at sparsity m is the
+    sorted m-prefix of one Fisher-Yates stream, which the matrix remembers
+    for its last (trials, seed) (``_mc_rows``), so repeated calls on one
+    matrix, such as a search for the largest passing m, draw it once or a
+    few times instead of once per call.  Supports go through the same
     eigenvalue kernel as ``rip_exact``, so a run that draws every support
     reproduces the exact theta bit for bit.  More than ``budget`` trials
     raise ``BudgetError`` before any support is drawn.
@@ -322,13 +376,7 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
         raise InvalidSpecError("need 1 <= sparsity <= n")
     if trials > budget:
         raise BudgetError(f"{trials} trials exceed budget {budget} supports")
-    rng = np.random.Generator(np.random.Philox())
-    offsets = np.empty((trials, sparsity), dtype=np.int64)
-    for t in range(trials):
-        # the draws of philox(seed, "rip-mc", t)
-        rekey(rng.bit_generator, derive_seed(seed, "rip-mc", t))
-        offsets[t] = _fisher_yates_offsets(rng, m.n, sparsity)
-    supports = np.sort(_fisher_yates_rows(offsets, m.n), axis=1)
+    supports = np.sort(_mc_rows(m, sparsity, trials, seed)[:, :sparsity], axis=1)
     return _rip_report(m, sparsity, MC_METHOD, supports, trials=trials)
 
 

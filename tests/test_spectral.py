@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -526,6 +528,176 @@ def test_rip_mc_supports_are_prefixes_of_one_stream(monkeypatch):
         for m, supports in enumerate(captured, start=1):
             assert np.array_equal(supports[t], np.sort(stream[:m]))
     assert thetas == sorted(thetas)
+
+
+def _offset_draws(monkeypatch):
+    """Widths of the rows that ``_fisher_yates_offsets`` draws from now on, one per call."""
+    widths = []
+    draw = spectral._fisher_yates_offsets
+
+    def spy(rng, n, m):
+        widths.append(m)
+        return draw(rng, n, m)
+
+    monkeypatch.setattr(spectral, "_fisher_yates_offsets", spy)
+    return widths
+
+
+@pytest.mark.parametrize("k", [32, 256])
+def test_rip_mc_search_draws_less_than_twice_its_stream(k, monkeypatch):
+    # criterion 4's doubling-then-bisection on one matrix: requests 1, 2, 4,
+    # ... redraw at 1, 4, 16, ..., so every earlier draw adds up to less than
+    # the final one
+    mat = generate(EnsembleSpec("bernoulli", n=512, k=k, seed=0))
+    trials, seed = 600, 0
+    widths = _offset_draws(monkeypatch)
+
+    def ok(m):
+        return rip_monte_carlo(mat, m, trials, seed).theta <= 0.5
+
+    lo, hi = 0, 1
+    while ok(hi) and hi < k:
+        lo, hi = hi, min(2 * hi, k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    (held_trials, held_seed, rows), = mat._mc_stream
+    assert (held_trials, held_seed) == (trials, seed)
+    assert sum(widths) < 2 * trials * rows.shape[1]
+    if k == 32:                     # m* = 2: widths 1 and 4
+        assert len(widths) <= 2 * trials
+
+
+def test_rip_mc_reports_do_not_depend_on_call_order():
+    # one matrix asked in a scrambled order, with the stream widened and
+    # reused, gives the reports of fresh matrices, and MC_GOLDEN's bits
+    spec = EnsembleSpec("bernoulli", n=512, k=256, seed=0)
+    mat = generate(spec)
+    for trials, order in ((600, (256, 1, 128, 9)), (30, (256, 1, 128, 9, 512))):
+        reports = {m: rip_monte_carlo(mat, m, trials, seed=0) for m in order}
+        for m, rep in reports.items():
+            assert rep == rip_monte_carlo(generate(spec), m, trials, seed=0)
+        if trials == 600:
+            assert reports[9].to_json() == MC_GOLDEN[9]
+            text = reports[256].to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == MC_GOLDEN[256]
+
+
+def test_rip_mc_new_key_replaces_the_stream(monkeypatch):
+    mat = generate(EnsembleSpec("bernoulli", n=40, k=20, seed=5))
+    first = rip_monte_carlo(mat, 5, trials=50, seed=1)
+    rip_monte_carlo(mat, 5, trials=50, seed=2)
+    rip_monte_carlo(mat, 5, trials=60, seed=2)
+    assert [entry[:2] for entry in mat._mc_stream] == [(60, 2)]
+    widths = _offset_draws(monkeypatch)
+    assert rip_monte_carlo(mat, 5, trials=50, seed=1) == first
+    assert widths == [5] * 50
+    assert [entry[:2] for entry in mat._mc_stream] == [(50, 1)]
+
+
+def test_rip_mc_equal_matrices_draw_their_own_streams(monkeypatch):
+    spec = EnsembleSpec("bernoulli", n=40, k=20, seed=5)
+    a, b = generate(spec), generate(spec)
+    widths = _offset_draws(monkeypatch)
+    assert rip_monte_carlo(a, 4, trials=30, seed=3) == rip_monte_carlo(b, 4, trials=30, seed=3)
+    assert widths == [4] * 60
+    assert a._mc_stream[0][2] is not b._mc_stream[0][2]
+
+
+def test_rip_mc_stream_widens_and_never_narrows(monkeypatch):
+    mat = generate(EnsembleSpec("bernoulli", n=40, k=20, seed=5))
+    shuffle = spectral._fisher_yates_rows
+    raced = []
+
+    def racing(offsets, n):
+        # a wider request on another thread finishes while this draw runs
+        if not raced:
+            raced.append(None)
+            raced[0] = spectral._mc_rows(mat, 9, 20, 4)
+        return shuffle(offsets, n)
+
+    monkeypatch.setattr(spectral, "_fisher_yates_rows", racing)
+    narrow = spectral._mc_rows(mat, 1, 20, 4)
+    assert narrow.shape == (20, 1) and raced[0].shape == (20, 9)
+    assert mat._mc_stream[0][2] is raced[0]
+    assert np.array_equal(narrow, raced[0][:, :1])
+    # a wider request redraws at twice its width, capped at n
+    assert spectral._mc_rows(mat, 12, 20, 4).shape == (20, 24)
+    assert spectral._mc_rows(mat, 30, 20, 4).shape == (20, 40)
+    assert spectral._mc_rows(mat, 3, 20, 4) is mat._mc_stream[0][2]
+
+
+def test_rip_mc_stream_survives_racing_threads(monkeypatch):
+    # eight threads on two cores ask one matrix for growing and shrinking
+    # widths; a lost update would leave a narrower stream than the widest drawn
+    mat = generate(EnsembleSpec("bernoulli", n=40, k=20, seed=5))
+    drawn, held = [], []
+    seen = threading.Lock()
+    shuffle = spectral._fisher_yates_rows
+
+    def spy(offsets, n):
+        drawn.append(offsets.shape[1])
+        with seen:              # the held widths, in the order they were read
+            held.append(mat._mc_stream[0][2].shape[1] if mat._mc_stream else 0)
+        return shuffle(offsets, n)
+
+    monkeypatch.setattr(spectral, "_fisher_yates_rows", spy)
+    results = []
+
+    def work(widths):
+        for w in widths:
+            results.append(spectral._mc_rows(mat, w, 20, 4)[:, :w].copy())
+
+    threads = [threading.Thread(target=work, args=([1 + (i * 7 + j) % 19 for j in range(12)],))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    (_, _, final), = mat._mc_stream
+    assert final.shape[1] == max(drawn)
+    assert held == sorted(held)
+    assert len(results) == 8 * 12
+    for rows in results:
+        assert np.array_equal(rows, final[:, :rows.shape[1]])
+
+
+def test_rip_mc_stream_stays_off_repr_and_eq():
+    spec = EnsembleSpec("bernoulli", n=6, k=1, seed=2)
+    a, b = generate(spec), generate(spec)
+    text = repr(a)
+    rip_monte_carlo(a, 2, trials=10, seed=0)
+    assert a._mc_stream and not b._mc_stream
+    assert repr(a) == text == repr(b) and "_mc_stream" not in text
+    assert a == a
+    one = [MeasurementMatrix(entries=np.ones((1, 1)), spec=spec) for _ in range(2)]
+    rip_monte_carlo(one[0], 1, trials=3, seed=0)
+    assert one[0] == one[1]
+    with pytest.raises(ValueError, match="ambiguous"):   # as for any ndarray field
+        a == b
+    assert row_normalize(a)._mc_stream == []
+
+
+def test_fisher_yates_working_memory_is_bounded():
+    # the whole (trials, n) tile would be 655 MB
+    spec = EnsembleSpec("gaussian", n=4096, k=1, seed=0)
+    mat = MeasurementMatrix(entries=np.ones((1, 4096)), spec=spec)
+    tracemalloc.start()
+    try:
+        rows = spectral._mc_rows(mat, 2, 20_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (20_000, 2)
+    assert peak < 64 * 2 ** 20
+    for t in (0, 19_999):
+        assert np.array_equal(rows[t], fisher_yates_prefix(philox(0, "rip-mc", t), 4096, 2))
 
 
 def test_rip_mc_single_trial_matches_its_support():
