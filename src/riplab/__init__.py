@@ -15,7 +15,7 @@ from .recon import (KernelBasis, ReconResult, hull_membership, kernel_basis,
                     kernel_diameter_lower, kernel_diameter_upper, l1_minimize,
                     recon_experiment)
 from .spectral import (RipReport, SupportSet, check_uup, gram_extremal_eigs,
-                       rip_exact, rip_monte_carlo, verify_on_net)
+                       max_passing_sparsity, rip_exact, rip_monte_carlo, verify_on_net)
 from .concentration import (TailReport, bernstein_psi2_consistency,
                             expectation_check, tail_profile)
 
@@ -28,8 +28,8 @@ __all__ = [
     "check_uup", "cover_check", "difference_set_net", "estimate_psi2",
     "expectation_check", "gaussian_width", "generate", "gram_extremal_eigs",
     "greedy_separated_net", "hull_decompose", "hull_membership", "kernel_basis",
-    "kernel_diameter_lower", "kernel_diameter_upper", "l1_minimize", "member",
-    "rearrange", "recon_experiment", "rip_exact", "rip_monte_carlo",
-    "row_normalize", "sparse_set_net", "tail_profile", "top_m_l2",
+    "kernel_diameter_lower", "kernel_diameter_upper", "l1_minimize",
+    "max_passing_sparsity", "member", "rearrange", "recon_experiment", "rip_exact",
+    "rip_monte_carlo", "row_normalize", "sparse_set_net", "tail_profile", "top_m_l2",
     "verify_on_net",
 ]

@@ -23,7 +23,7 @@ from .nets import (Net, certify_cover, cover_check, difference_set_net,
                    net_to_json, sparse_net_bound, sparse_set_net,
                    volumetric_bound)
 from .recon import recon_experiment, rho_from_budget
-from .spectral import check_uup, rip_exact, rip_monte_carlo
+from .spectral import EXACT_METHOD, MC_METHOD, check_uup, rip_exact, rip_monte_carlo
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,7 +180,7 @@ def cmd_rip(args) -> int:
 
 
 def cmd_uup(args) -> int:
-    method = "exact-enumeration" if args.method == "exact" else "monte-carlo"
+    method = EXACT_METHOD if args.method == "exact" else MC_METHOD
 
     def one(seed):
         spec = EnsembleSpec(args.kind, args.n, args.k, seed)

@@ -21,7 +21,9 @@ Fisher-Yates loop over blocks of trials, each trial driven by its own
 seeded offsets.  A trial's support at sparsity m is the sorted m-prefix of
 its stream, so a matrix remembers the stream of its last (trials, seed),
 trials x width int64, and later calls at any sparsity within that width
-reuse it.
+reuse it.  The nested supports make the sampled theta monotone in m, so
+``max_passing_sparsity`` finds m*, the largest m whose sampled theta stays
+within a bound, by doubling and then bisecting over one Gram matrix.
 """
 
 from __future__ import annotations
@@ -249,14 +251,14 @@ class RipReport:
         return json.dumps(obj)
 
 
-def _rip_report(m, sparsity, method, supports, trials=None):
-    """RipReport of m over the rows of the (s, sparsity) supports.
+def _rip_report(m, gram, sparsity, method, supports, trials=None):
+    """RipReport of m, whose ``_gram`` is gram, over the rows of the (s, sparsity) supports.
 
     Each witness is the first support that maximizes its deviation, so the
     report depends neither on the order that shares finish in nor on which
     supports the screen (on for sparsity <= k) clears.
     """
-    lmin, lmax = _extremal_eigs(_gram(m), supports, screen=sparsity <= m.k)
+    lmin, lmax = _extremal_eigs(gram, supports, screen=sparsity <= m.k)
     lows, highs = 1.0 - lmin, lmax - 1.0
     i_low, i_high = int(np.argmax(lows)), int(np.argmax(highs))
     tl, tu = float(lows[i_low]), float(highs[i_high])
@@ -280,7 +282,7 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
     supports = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m.n), sparsity)),
         dtype=np.intp, count=count * sparsity).reshape(count, sparsity)
-    return _rip_report(m, sparsity, EXACT_METHOD, supports)
+    return _rip_report(m, _gram(m), sparsity, EXACT_METHOD, supports)
 
 
 def _fisher_yates_offsets(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -376,8 +378,52 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
         raise InvalidSpecError("need 1 <= sparsity <= n")
     if trials > budget:
         raise BudgetError(f"{trials} trials exceed budget {budget} supports")
+    return _mc_report(m, _gram(m), sparsity, trials, seed)
+
+
+def _mc_report(m, gram, sparsity, trials, seed):
+    """``rip_monte_carlo``'s report, on m's Gram, after its checks."""
     supports = np.sort(_mc_rows(m, sparsity, trials, seed)[:, :sparsity], axis=1)
-    return _rip_report(m, sparsity, MC_METHOD, supports, trials=trials)
+    return _rip_report(m, gram, sparsity, MC_METHOD, supports, trials=trials)
+
+
+def max_passing_sparsity(m: MeasurementMatrix, theta: float, trials: int,
+                         seed: int) -> tuple[int, RipReport | None, RipReport | None]:
+    """Largest sparsity m* whose Monte Carlo accuracy stays <= theta, with two reports.
+
+    Returns (m*, passing, failing): the reports at m* (None when m* = 0) and
+    at m* + 1 (None when m* = min(k, n)), each equal to ``rip_monte_carlo``
+    at that sparsity with these trials and seed.  A trial's support at s is
+    a prefix of its support at s + 1, so by Cauchy interlacing the sampled
+    theta cannot fall as s grows, and every search order finds the same m*.
+    This one doubles s from 1, capped at min(k, n), up to the first failure
+    and then bisects, which keeps it far from min(k, n), where a probe costs
+    the most.  The Gram is formed once per search.
+    """
+    if not 0.0 < theta < 1.0:
+        raise InvalidSpecError("need 0 < theta < 1")
+    # rip_monte_carlo's trial checks, at its default budget
+    if trials < 1:
+        raise InvalidSpecError("trials must be >= 1")
+    if trials > 2_000_000:
+        raise BudgetError(f"{trials} trials exceed budget 2000000 supports")
+    gram = _gram(m)
+    top = min(m.k, m.n)
+    reports = {}
+
+    def passes(s):
+        reports[s] = _mc_report(m, gram, s, trials, seed)
+        return reports[s].theta <= theta
+
+    lo, hi = 0, 1
+    while passes(hi):
+        if hi == top:
+            return top, reports[top], None
+        lo, hi = hi, min(2 * hi, top)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo, reports.get(lo), reports[hi]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from riplab.nets import (certify_cover, greedy_separated_net, hull_decompose,
                          sparse_set_net)
 from riplab.recon import (hull_membership, kernel_diameter_lower, kernel_diameter_upper,
                           l1_minimize, recon_experiment, rho_from_budget)
-from riplab.spectral import fisher_yates_prefix, rip_exact, rip_monte_carlo
+from riplab.spectral import (fisher_yates_prefix, max_passing_sparsity, rip_exact,
+                             rip_monte_carlo)
 from riplab.cli import main as cli_main
 from test_recon import enumerated_objective, exact_l1_kernel_diameter
 
@@ -93,7 +94,12 @@ def _fibonacci_sphere(count):
 
 
 def _grid_oracle_theta(entries, k, sparsity):
-    """max/min of |Gx|^2/k over a dense grid of unit x on every support."""
+    """max/min of |Gx|^2/k over a dense grid of unit x on every support.
+
+    x^T A x is linear in the entries of A, so one product evaluates every
+    support on every grid point: the grid's monomials x_i x_j (i <= j)
+    times each support's coefficients a_ii and 2 a_ij.
+    """
     n = entries.shape[1]
     if sparsity == 1:
         grid = np.array([[1.0]])
@@ -102,14 +108,12 @@ def _grid_oracle_theta(entries, k, sparsity):
         grid = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
         grid = _fibonacci_sphere(60_000)
-    hi = lo = 0.0
-    for sup in itertools.combinations(range(n), sparsity):
-        cols = entries[:, sup]
-        gram = cols.T @ cols / k
-        q = np.einsum("ij,jl,il->i", grid, gram, grid)
-        hi = max(hi, float(q.max()) - 1.0)
-        lo = max(lo, 1.0 - float(q.min()))
-    return lo, hi
+    gram = entries.T @ entries / k
+    sups = np.array(list(itertools.combinations(range(n), sparsity)))
+    i, j = np.triu_indices(sparsity)
+    coefs = np.where(i == j, 1.0, 2.0)[:, None] * gram[sups[:, i], sups[:, j]].T
+    q = (grid[:, i] * grid[:, j]) @ coefs          # (grid points, supports)
+    return max(1.0 - float(q.min()), 0.0), max(float(q.max()) - 1.0, 0.0)
 
 
 def test_criterion_3_rip_oracle_equivalence():
@@ -138,32 +142,6 @@ def test_criterion_3_rip_oracle_equivalence():
 
 # -- 4 ----------------------------------------------------------------------
 
-def _max_passing_sparsity(mat, theta, trials, seed):
-    """Largest m whose sampled theta stays <= theta: doubling, then bisection.
-
-    Each trial's support at m is a prefix of its support at m + 1, so by
-    Cauchy interlacing the sampled theta cannot fall as m grows, and every
-    search order finds the same m.  Doubling from 1 keeps the search far
-    from min(k, n), where one call costs the most.
-    """
-    def ok(m):
-        return rip_monte_carlo(mat, m, trials, seed).theta <= theta
-
-    top = min(mat.k, mat.n)
-    lo, hi = 0, 1
-    while ok(hi):
-        if hi == top:
-            return top
-        lo, hi = hi, min(2 * hi, top)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def test_criterion_4_uup_scaling_law():
     start = time.perf_counter()
     n, theta, trials = 512, 0.5, 600
@@ -172,7 +150,7 @@ def test_criterion_4_uup_scaling_law():
     def one(item):
         k, seed = item
         mat = generate(EnsembleSpec("bernoulli", n=n, k=k, seed=seed))
-        return k, _max_passing_sparsity(mat, theta, trials, seed)
+        return k, max_passing_sparsity(mat, theta, trials, seed)[0]
 
     rows = parallel_map(one, [(k, s) for k in k_grid for s in range(20)],
                         threads=4)

@@ -17,8 +17,8 @@ from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
 from riplab.geometry import BallDescriptor
 from riplab.nets import Net, sparse_set_net
 from riplab.spectral import (EXACT_METHOD, MC_METHOD, RipReport, SupportSet, check_uup,
-                             fisher_yates_prefix, gram_extremal_eigs, rip_exact,
-                             rip_monte_carlo, verify_on_net)
+                             fisher_yates_prefix, gram_extremal_eigs, max_passing_sparsity,
+                             rip_exact, rip_monte_carlo, verify_on_net)
 
 
 def scaled_identity(n):
@@ -545,27 +545,77 @@ def _offset_draws(monkeypatch):
 
 @pytest.mark.parametrize("k", [32, 256])
 def test_rip_mc_search_draws_less_than_twice_its_stream(k, monkeypatch):
-    # criterion 4's doubling-then-bisection on one matrix: requests 1, 2, 4,
+    # the m* search doubles, then bisects, on one matrix: requests 1, 2, 4,
     # ... redraw at 1, 4, 16, ..., so every earlier draw adds up to less than
     # the final one
     mat = generate(EnsembleSpec("bernoulli", n=512, k=k, seed=0))
     trials, seed = 600, 0
     widths = _offset_draws(monkeypatch)
-
-    def ok(m):
-        return rip_monte_carlo(mat, m, trials, seed).theta <= 0.5
-
-    lo, hi = 0, 1
-    while ok(hi) and hi < k:
-        lo, hi = hi, min(2 * hi, k)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    max_passing_sparsity(mat, 0.5, trials, seed)
     (held_trials, held_seed, rows), = mat._mc_stream
     assert (held_trials, held_seed) == (trials, seed)
     assert sum(widths) < 2 * trials * rows.shape[1]
     if k == 32:                     # m* = 2: widths 1 and 4
         assert len(widths) <= 2 * trials
+
+
+@pytest.mark.parametrize("k", [32, 64, 128, 256])
+def test_max_passing_sparsity_equals_a_linear_scan(k, monkeypatch):
+    # seeds past criterion 4's 0-19; the scan runs on its own matrix, so the
+    # search's reports also equal those of a matrix with another stream history
+    theta, trials = 0.5, 600
+    grams = []
+    gram = spectral._gram
+    monkeypatch.setattr(spectral, "_gram", lambda m: grams.append(m) or gram(m))
+    for seed in range(20, 25):
+        spec = EnsembleSpec("bernoulli", n=512, k=k, seed=seed)
+        mat = generate(spec)
+        scan = [rip_monte_carlo(mat, 1, trials, seed)]     # scan[s - 1] is at sparsity s
+        while scan[-1].theta <= theta:
+            scan.append(rip_monte_carlo(mat, len(scan) + 1, trials, seed))
+        grams.clear()
+        m_star, passing, failing = max_passing_sparsity(generate(spec), theta, trials, seed)
+        assert len(grams) == 1                              # one Gram per search
+        assert m_star == len(scan) - 1
+        assert passing == (scan[-2] if m_star else None)
+        assert failing == scan[-1]
+
+
+def test_max_passing_sparsity_is_zero_when_one_column_fails():
+    mat = generate(EnsembleSpec("gaussian", n=16, k=4, seed=3))
+    one = rip_monte_carlo(mat, 1, trials=50, seed=0)
+    assert one.theta > 0.05
+    assert max_passing_sparsity(mat, 0.05, 50, 0) == (0, None, one)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scaled_identity(8),
+    lambda: generate(EnsembleSpec("bernoulli", n=6, k=1, seed=2)),   # +-1 entries
+], ids=["k-equals-n", "k-below-n"])
+def test_max_passing_sparsity_reaches_min_k_n(make):
+    mat = make()
+    top = min(mat.k, mat.n)
+    full = rip_monte_carlo(mat, top, trials=50, seed=0)
+    assert full.theta <= 0.5        # interlacing: every smaller sparsity passes too
+    assert max_passing_sparsity(mat, 0.5, 50, 0) == (top, full, None)
+
+
+@pytest.mark.parametrize("theta,trials,normalize,error", [
+    (0.0, 10, False, InvalidSpecError),
+    (1.0, 10, False, InvalidSpecError),
+    (math.nan, 10, False, InvalidSpecError),
+    (0.5, 0, False, InvalidSpecError),
+    (0.5, 2_000_001, False, BudgetError),
+    (0.5, 10, True, InvalidSpecError),
+], ids=["theta-0", "theta-1", "theta-nan", "no-trials", "over-budget", "row-normalized"])
+def test_max_passing_sparsity_rejects_bad_input(theta, trials, normalize, error, monkeypatch):
+    mat = generate(EnsembleSpec("bernoulli", n=12, k=6, seed=1))
+    if normalize:
+        mat = row_normalize(mat)
+    widths = _offset_draws(monkeypatch)
+    with pytest.raises(error):
+        max_passing_sparsity(mat, theta, trials, 0)
+    assert widths == []             # raised before any support was drawn
 
 
 def test_rip_mc_reports_do_not_depend_on_call_order():
