@@ -7,7 +7,7 @@ sparse-reconstruction experiments with kernel-diameter bounds.
 """
 
 from .ensembles import (EnsembleSpec, MeasurementMatrix, Psi2Estimate,
-                        estimate_psi2, generate, row_normalize)
+                        estimate_psi2, generate)
 from .geometry import BallDescriptor, Rearrangement, member, rearrange, top_m_l2
 from .nets import (HullDecomposition, Net, cover_check, difference_set_net,
                    gaussian_width, greedy_separated_net, hull_decompose, sparse_set_net)
@@ -30,6 +30,5 @@ __all__ = [
     "greedy_separated_net", "hull_decompose", "hull_membership", "kernel_basis",
     "kernel_diameter_lower", "kernel_diameter_upper", "l1_minimize",
     "max_passing_sparsity", "member", "rearrange", "recon_experiment", "rip_exact",
-    "rip_monte_carlo", "row_normalize", "sparse_set_net", "tail_profile", "top_m_l2",
-    "verify_on_net",
+    "rip_monte_carlo", "sparse_set_net", "tail_profile", "top_m_l2", "verify_on_net",
 ]

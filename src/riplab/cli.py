@@ -23,7 +23,8 @@ from .nets import (Net, certify_cover, cover_check, difference_set_net,
                    net_to_json, sparse_net_bound, sparse_set_net,
                    volumetric_bound)
 from .recon import recon_experiment, rho_from_budget
-from .spectral import EXACT_METHOD, MC_METHOD, check_uup, rip_exact, rip_monte_carlo
+from .spectral import (EXACT_METHOD, MC_METHOD, SUPPORT_BUDGET, check_uup, rip_exact,
+                       rip_monte_carlo)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -320,7 +321,7 @@ def build_parser() -> _Parser:
     r.add_argument("--method", choices=("exact", "mc"), default="exact")
     r.add_argument("--trials", type=int, default=1000)
     r.add_argument("--mc-seed", type=int, default=0)
-    r.add_argument("--budget", type=int, default=2_000_000)
+    r.add_argument("--budget", type=int, default=SUPPORT_BUDGET)
     r.add_argument("--out", required=True)
     _add_common(r)
     r.set_defaults(func=cmd_rip)
@@ -334,7 +335,7 @@ def build_parser() -> _Parser:
     u.add_argument("--seeds", type=seed_range, required=True, help="seed range lo:hi")
     u.add_argument("--method", choices=("exact", "mc"), default="exact")
     u.add_argument("--trials", type=int, default=1000)
-    u.add_argument("--budget", type=int, default=2_000_000)
+    u.add_argument("--budget", type=int, default=SUPPORT_BUDGET)
     u.add_argument("--out", required=True)
     _add_common(u)
     u.set_defaults(func=cmd_uup)

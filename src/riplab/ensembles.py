@@ -1,8 +1,8 @@
 """Isotropic subgaussian measurement ensembles with counter-based seeding.
 
 Rows are independent copies of an isotropic random vector with unit
-coordinate variance, so the raw matrix G satisfies E|Gx|^2 = k|x|^2 and
-the row-normalized form G/sqrt(k) preserves norms in expectation.
+coordinate variance, so G satisfies E|Gx|^2 = k|x|^2.  G is a matrix's
+only form; the functions that need G~ = G/sqrt(k) form it themselves.
 
 Row i of a matrix is the start of the Philox stream keyed by (seed, i).
 A call keeps one bit generator and re-keys it row by row, stacks the
@@ -14,7 +14,6 @@ in any order or subset, and in blocks of any size, with identical bits.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -23,13 +22,10 @@ from functools import partial
 import numpy as np
 
 from ._util import atomic_write_bytes, derive_seed, philox, rekey
-from .errors import InvalidSpecError, NormalizationError
+from .errors import InvalidSpecError
 from .geometry import row_norms
 
 KINDS = ("gaussian", "bernoulli", "uniform-sphere-row", "custom-bounded-symmetric")
-
-RAW = "raw"
-ROW_NORMALIZED = "row-normalized"
 
 _BINARY_MAGIC = b"RIPL"
 _BINARY_VERSION = 1
@@ -71,21 +67,6 @@ class EnsembleSpec:
         elif self.support is not None:
             raise InvalidSpecError(f"kind {self.kind!r} does not take a support")
 
-    def to_json(self) -> str:
-        obj = {"kind": self.kind, "n": self.n, "k": self.k, "seed": self.seed}
-        if self.support is not None:
-            obj["support"] = [[v, p] for v, p in self.support]
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleSpec":
-        obj = json.loads(text)
-        support = obj.get("support")
-        if support is not None:
-            support = tuple((float(v), float(p)) for v, p in support)
-        return cls(kind=obj["kind"], n=int(obj["n"]), k=int(obj["k"]),
-                   seed=int(obj["seed"]), support=support)
-
 
 def _validate_symmetric_support(support: tuple[tuple[float, float], ...]) -> None:
     values = [float(v) for v, _ in support]
@@ -109,7 +90,6 @@ def _validate_symmetric_support(support: tuple[tuple[float, float], ...]) -> Non
 class MeasurementMatrix:
     entries: np.ndarray
     spec: EnsembleSpec
-    normalization: str = RAW
     # the Monte Carlo support stream of the last (trials, seed) drawn on this
     # matrix, as [(trials, seed, rows)]; see spectral._mc_rows
     _mc_stream: list = field(default_factory=list, init=False, repr=False,
@@ -233,15 +213,7 @@ def generate(spec: EnsembleSpec) -> MeasurementMatrix:
     be produced independently and in any order with identical bits.
     """
     entries = sample_rows(spec.kind, spec.n, spec.seed, range(spec.k), spec.support)
-    return MeasurementMatrix(entries=entries, spec=spec, normalization=RAW)
-
-
-def row_normalize(m: MeasurementMatrix) -> MeasurementMatrix:
-    """Divide entries by sqrt(k) and flip the normalization tag."""
-    if m.normalization != RAW:
-        raise NormalizationError("matrix is already row-normalized")
-    return MeasurementMatrix(entries=m.entries / math.sqrt(m.k),
-                             spec=m.spec, normalization=ROW_NORMALIZED)
+    return MeasurementMatrix(entries=entries, spec=spec)
 
 
 def _psi2_of_samples(z: np.ndarray) -> float:

@@ -9,10 +9,6 @@ class InvalidSpecError(RiplabError, ValueError):
     """A parameter record violates its invariants."""
 
 
-class NormalizationError(RiplabError):
-    """Row normalization applied to an already-normalized matrix."""
-
-
 class EmptySupportError(RiplabError, ValueError):
     """An operation received an empty support set."""
 

@@ -455,6 +455,8 @@ def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,
         raise InvalidSpecError("need 1 <= m <= n")
     if target not in ("sphere", "ball"):
         raise InvalidSpecError("target must be 'sphere' or 'ball'")
+    if not 0.0 < epsilon <= 2.0:
+        raise InvalidSpecError("need 0 < epsilon <= 2")
     bound = sparse_net_bound(n, m, epsilon)
     if bound > budget:
         raise BudgetError(

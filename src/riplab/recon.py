@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import philox
-from .ensembles import EnsembleSpec, MeasurementMatrix, generate, row_normalize
+from .ensembles import EnsembleSpec, MeasurementMatrix, generate
 from .errors import BudgetError, InfeasibleError, InvalidSpecError
 from .geometry import (BallDescriptor, member, required_hull_sparsity, row_norms,
                        sample_ambient_batch, sample_weak_lp_ball)
@@ -240,9 +240,12 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray,
 
     Runs a primal-dual interior-point method on the SVD row-reduced system
     and reports the certified duality gap.  b must lie in the column space
-    up to FEASIBILITY_TOL; b = 0 returns 0.
+    up to FEASIBILITY_TOL; b = 0 returns 0.  A b that is not a finite
+    vector of shape (k,) raises ``InvalidSpecError``.
     """
     b = np.asarray(b, dtype=float)
+    if b.shape != (m.k,) or not np.isfinite(b).all():
+        raise InvalidSpecError(f"b must be a finite vector of shape ({m.k},)")
     entries = m.entries
     x_hat, gap, iters, _, off = _l1_solve(entries, b)
     if np.linalg.norm(off) > FEASIBILITY_TOL:
@@ -335,6 +338,8 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
     """
     if ball.family not in ("l1", "weak-lp"):
         raise InvalidSpecError("lower bound supports l1 and weak-lp balls")
+    if restarts < 1:
+        raise InvalidSpecError("restarts must be >= 1")
     kb = kernel_basis(m)
     if kb.dim == 0:
         return 0.0
@@ -395,13 +400,13 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
                           stall_limit: int | None = 20_000) -> UpperBoundCertificate:
     """Per-instance certificate that ker(G~) cap ball lies in rho * B_2.
 
-    rho is a radius, not a diameter: the diameter is at most 2 rho.  Builds
-    a theta/5-cover of the unit sphere, which holds the rescaled sphere
-    slice of the ball, plus a scaled hull net for the difference body, and
-    checks the realized matrix on both.  When every condition holds, no
-    kernel vector of the ball can exceed norm rho (the near-isometry lower
-    bound 1 - 9 theta/5 stays positive), so the certificate needs
-    theta < 5/9.  No probability claim is made.
+    G~ = G/sqrt(k), with the kernel of G, is formed here.  rho is a radius,
+    not a diameter: the diameter is at most 2 rho.  Builds a theta/5-cover
+    of the unit sphere, which holds the rescaled sphere slice of the ball,
+    plus a scaled hull net for the difference body, and checks G~ on both.
+    When every condition holds, no kernel vector of the ball can exceed
+    norm rho (the near-isometry lower bound 1 - 9 theta/5 stays positive),
+    so the certificate needs theta < 5/9.  No probability claim is made.
     """
     if not (0.0 < theta < 5.0 / 9.0):
         raise InvalidSpecError("certificate needs 0 < theta < 5/9 to be nonvacuous")
@@ -429,11 +434,10 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
     except BudgetError as exc:
         raise BudgetError(f"net budget exceeded at rho = {rho}: {exc}") from exc
     probe = cover_check(sphere_net, COVER_PROBES, seed + 2)
-    normalized = m if m.normalization == "row-normalized" else row_normalize(m)
-    cond1 = verify_on_net(normalized, sphere_net, theta)
+    cond1 = verify_on_net(m, sphere_net, theta)
     # the hull net is eps * hull_net.points; |G~(eps q)| <= 2|eps q| is
     # scale-free, so the condition is checked on the unscaled points
-    images = hull_net.points @ normalized.entries.T
+    images = hull_net.points @ (m.entries / math.sqrt(m.k)).T
     norms = np.linalg.norm(hull_net.points, axis=1)
     cond2 = bool(np.all(np.linalg.norm(images, axis=1) <= 2.0 * norms + 1e-12))
     certified = bool(cond1.all_pass and cond2 and probe.pass_)

@@ -1,8 +1,9 @@
 """Extremal eigenvalues of normalized Gram submatrices and near-isometry checks.
 
-The accuracy theta of a k x n measurement matrix at sparsity m is the
+The accuracy theta of a k x n measurement matrix G at sparsity m is the
 worst deviation of the spectrum of (G_A^T G_A)/k from 1 over supports A
-of size m.  Exact enumeration suffices at size exactly m because
+of size m: that of G~ = G/sqrt(k), which every function here forms from
+G itself.  Exact enumeration suffices at size exactly m because
 principal-submatrix interlacing makes smaller supports redundant.
 
 Exact, Monte-Carlo and single-support evaluations share one kernel: form
@@ -37,12 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import available_cores, blas_threads, derive_seed, parallel_map, rekey
-from .ensembles import RAW, ROW_NORMALIZED, MeasurementMatrix
+from .ensembles import MeasurementMatrix
 from .errors import BudgetError, EmptySupportError, InvalidSpecError
 from .nets import Net
 
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
+
+# default cap on the supports one exact or Monte Carlo evaluation draws
+SUPPORT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -202,15 +206,13 @@ def _extremal_eigs(gram: np.ndarray, supports: np.ndarray, screen: bool = False)
 
 
 def _gram(m: MeasurementMatrix, cols=slice(None)) -> np.ndarray:
-    """(G_cols^T G_cols)/k of the raw matrix, all columns by default.
+    """(G_cols^T G_cols)/k of the matrix, all columns by default.
 
     The result is exactly symmetric: numpy computes the product of a
     C-ordered g with its own transpose as one BLAS syrk and mirrors the
     triangle it gets.  A non-finite entry, or a product that overflows,
     raises ``InvalidSpecError``.
     """
-    if m.normalization != RAW:
-        raise InvalidSpecError("pass the raw matrix; division by k is internal")
     g = np.ascontiguousarray(m.entries[:, cols])
     with np.errstate(over="ignore", invalid="ignore"):
         gram = g.T @ g / m.k
@@ -270,7 +272,7 @@ def _rip_report(m, gram, sparsity, method, supports, trials=None):
 
 
 def rip_exact(m: MeasurementMatrix, sparsity: int,
-              budget: int = 2_000_000) -> RipReport:
+              budget: int = SUPPORT_BUDGET) -> RipReport:
     """Exact accuracy at the given sparsity by enumerating all supports."""
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("need 1 <= sparsity <= n")
@@ -358,8 +360,16 @@ def _mc_rows(m: MeasurementMatrix, sparsity: int, trials: int, seed: int) -> np.
     return rows
 
 
+def _check_trials(trials: int, budget: int) -> None:
+    """The Monte Carlo trial count checks, made before any support is drawn."""
+    if trials < 1:
+        raise InvalidSpecError("trials must be >= 1")
+    if trials > budget:
+        raise BudgetError(f"{trials} trials exceed budget {budget} supports")
+
+
 def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
-                    seed: int, budget: int = 2_000_000) -> RipReport:
+                    seed: int, budget: int = SUPPORT_BUDGET) -> RipReport:
     """Sampled lower bound on the exact accuracy over uniform random supports.
 
     Each trial index owns its own seeded support draw, so results are
@@ -372,12 +382,9 @@ def rip_monte_carlo(m: MeasurementMatrix, sparsity: int, trials: int,
     reproduces the exact theta bit for bit.  More than ``budget`` trials
     raise ``BudgetError`` before any support is drawn.
     """
-    if trials < 1:
-        raise InvalidSpecError("trials must be >= 1")
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("need 1 <= sparsity <= n")
-    if trials > budget:
-        raise BudgetError(f"{trials} trials exceed budget {budget} supports")
+    _check_trials(trials, budget)
     return _mc_report(m, _gram(m), sparsity, trials, seed)
 
 
@@ -402,11 +409,7 @@ def max_passing_sparsity(m: MeasurementMatrix, theta: float, trials: int,
     """
     if not 0.0 < theta < 1.0:
         raise InvalidSpecError("need 0 < theta < 1")
-    # rip_monte_carlo's trial checks, at its default budget
-    if trials < 1:
-        raise InvalidSpecError("trials must be >= 1")
-    if trials > 2_000_000:
-        raise BudgetError(f"{trials} trials exceed budget 2000000 supports")
+    _check_trials(trials, SUPPORT_BUDGET)
     gram = _gram(m)
     top = min(m.k, m.n)
     reports = {}
@@ -437,7 +440,7 @@ class UupCheck:
 
 def check_uup(m: MeasurementMatrix, theta: float, lam: float,
               method: str = EXACT_METHOD, trials: int = 1000,
-              seed: int = 0, budget: int = 2_000_000) -> UupCheck:
+              seed: int = 0, budget: int = SUPPORT_BUDGET) -> UupCheck:
     """Test the near-isometry property with accuracy theta at oversampling lam.
 
     Checks that all column subsets of size at most floor(k/lam) deviate by
@@ -472,14 +475,14 @@ class NetVerification:
 
 
 def verify_on_net(m: MeasurementMatrix, net: Net, theta: float) -> NetVerification:
-    """Check | |G~ x| - 1 | <= theta/5 at every net point."""
-    if m.normalization != ROW_NORMALIZED:
-        raise InvalidSpecError("verify_on_net needs the row-normalized matrix")
+    """Check | |G~ x| - 1 | <= theta/5 on the net, G~ = G/sqrt(k), for 0 < theta < 1."""
+    if not 0.0 < theta < 1.0:
+        raise InvalidSpecError("need 0 < theta < 1")
     if net.dim != m.n:
         raise InvalidSpecError("net dimension does not match the matrix")
     if len(net) == 0:
         return NetVerification(all_pass=True, violations=(), degenerate=True)
-    images = net.points @ m.entries.T
+    images = net.points @ (m.entries / math.sqrt(m.k)).T
     dev = np.abs(np.linalg.norm(images, axis=1) - 1.0)
     bad = np.nonzero(dev > theta / 5.0)[0]
     return NetVerification(all_pass=bad.size == 0,

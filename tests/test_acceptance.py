@@ -273,8 +273,7 @@ def test_criterion_8_kernel_diameter_sandwich():
     # positive control: an exact isometry certifies and satisfies the sandwich
     n3 = 3
     iso = MeasurementMatrix(entries=np.eye(n3) * math.sqrt(n3),
-                            spec=EnsembleSpec("gaussian", n=n3, k=n3, seed=0),
-                            normalization="raw")
+                            spec=EnsembleSpec("gaussian", n=n3, k=n3, seed=0))
     control = kernel_diameter_upper(iso, BallDescriptor.l1_ball(n3), rho=1.0,
                                     theta=0.5, seed=3, net_budget=1e6,
                                     stall_limit=60_000)

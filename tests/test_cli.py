@@ -452,6 +452,10 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
      "invalid parameters:"),
     (None, ["nets", "--construct", "sparse", "--n", 6, "--m", 1, "--epsilon", "nan"],
      "invalid parameters:"),
+    (None, ["nets", "--construct", "sparse", "--n", 8, "--m", 2, "--epsilon", 0],
+     "invalid parameters:"),
+    (None, ["nets", "--construct", "sparse", "--n", 8, "--m", 2, "--epsilon=-1e-300"],
+     "invalid parameters:"),
     (None, ["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
             "--epsilon", "nan"], "usage error:"),
     (None, ["nets", "--construct", "difference", "--n", 4, "--m", 1, "--radius", 0.5,
@@ -463,7 +467,8 @@ RECON = ["recon", "--kind", "bernoulli", "--n", 12, "--ball", "l1", "--t0-model"
     (None, RECON + ["--solver", "exact"], "usage error:"),
 ], ids=["config-bad-int", "config-list", "config-unknown-key", "config-nul-path",
         "uup-seed", "uup-seeds-too-long", "uup-seeds-open-end",
-        "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan",
+        "nets-greedy-epsilon-nan", "nets-sparse-epsilon-nan", "nets-sparse-epsilon-0",
+        "nets-sparse-epsilon-negative",
         "nets-difference-epsilon-nan", "nets-difference-ambient", "uup-lam-nan",
         "recon-radius-nan", "recon-radius-inf", "recon-sparsity-above-n", "recon-solver"])
 def test_bad_input_exit_1_one_line(tmp_path, capsys, config, argv, prefix):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from riplab import ensembles
-from riplab.ensembles import (EnsembleSpec, estimate_psi2,
-                              generate, matrix_from_binary, matrix_from_csv,
-                              matrix_to_binary, matrix_to_csv, row_normalize,
+from riplab.ensembles import (EnsembleSpec, estimate_psi2, generate, matrix_from_binary,
+                              matrix_from_csv, matrix_to_binary, matrix_to_csv,
                               sample_matrix_chunk, sample_rows)
-from riplab.errors import InvalidSpecError, NormalizationError
+from riplab.errors import InvalidSpecError
 
 BERNOULLI_PSI2 = 1.0 / math.sqrt(math.log(2.0))      # solve exp(1/s^2) = 2
 GAUSSIAN_PSI2 = math.sqrt(8.0 / 3.0)                 # solve (1-2/s^2)^(-1/2) = 2
@@ -66,18 +65,6 @@ def test_all_sign_matrices_equidistributed():
     assert len(counts) == 16
     for c in counts.values():
         assert abs(c / 10_000 - 1.0 / 16.0) < 0.02
-
-
-def test_row_normalize_scales_and_tags():
-    m = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=3))
-    norm = row_normalize(m)
-    assert norm.normalization == "row-normalized"
-    assert np.array_equal(norm.entries, m.entries / 2.0)
-    single = row_normalize(generate(EnsembleSpec("bernoulli", n=8, k=1, seed=3)))
-    assert np.array_equal(single.entries,
-                          generate(EnsembleSpec("bernoulli", n=8, k=1, seed=3)).entries)
-    with pytest.raises(NormalizationError):
-        row_normalize(norm)
 
 
 @pytest.mark.parametrize("n,k", [(4, 5), (4, 0), (0, 0)])
@@ -192,11 +179,6 @@ def test_sampler_bytes_golden(kind):
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                 for a in (generate(spec).entries, sample_matrix_chunk(spec, 5, 3, 8)))
     assert got == GOLDEN_SHA256[kind]
-
-
-def test_spec_json_round_trip():
-    for spec in ALL_SPECS:
-        assert EnsembleSpec.from_json(spec.to_json()) == spec
 
 
 def test_matrix_csv_round_trip_exact():

@@ -73,8 +73,7 @@ def enumerated_objective(mat, b):
 
 def first_rows_identity(n, k):
     spec = EnsembleSpec("gaussian", n=n, k=k, seed=0)
-    return MeasurementMatrix(entries=np.eye(n)[:k] * math.sqrt(k), spec=spec,
-                             normalization="raw")
+    return MeasurementMatrix(entries=np.eye(n)[:k] * math.sqrt(k), spec=spec)
 
 
 def test_kernel_basis_identity_rows():
@@ -123,10 +122,18 @@ def test_l1_infeasible_rhs():
     entries = np.zeros((3, 6))
     entries[0, 0] = entries[1, 1] = 1.0   # row 3 is zero
     mat = MeasurementMatrix(entries=entries,
-                            spec=EnsembleSpec("gaussian", n=6, k=3, seed=0),
-                            normalization="raw")
+                            spec=EnsembleSpec("gaussian", n=6, k=3, seed=0))
     with pytest.raises(InfeasibleError):
         l1_minimize(mat, np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("b", [[1.0, np.nan, 0.0, 2.0], [1.0, np.inf, 0.0, 2.0],
+                               [1.0, 0.0, 2.0], [[1.0, 0.0, 2.0, 3.0]]],
+                         ids=["nan", "inf", "short", "matrix"])
+def test_l1_rejects_b_not_a_finite_k_vector(b):
+    m = first_rows_identity(10, 4)
+    with pytest.raises(InvalidSpecError, match=r"finite vector of shape \(4,\)"):
+        l1_minimize(m, np.array(b))
 
 
 def test_l1_iterative_matches_exact_sample():
@@ -201,8 +208,7 @@ def test_kernel_diameter_lower_planted_vector():
     entries = rng.standard_normal((4, 8))
     entries[:, -1] = 0.0   # e_8 lies in the kernel; |e_8|_1 = 1
     mat = MeasurementMatrix(entries=entries,
-                            spec=EnsembleSpec("gaussian", n=8, k=4, seed=0),
-                            normalization="raw")
+                            spec=EnsembleSpec("gaussian", n=8, k=4, seed=0))
     lo = kernel_diameter_lower(mat, BallDescriptor.l1_ball(8), restarts=30, seed=8)
     assert lo >= 2.0 - 1e-6
 
@@ -211,6 +217,13 @@ def test_kernel_diameter_lower_full_rank_zero():
     square = generate(EnsembleSpec("gaussian", n=6, k=6, seed=9))
     assert kernel_diameter_lower(square, BallDescriptor.l1_ball(6),
                                  restarts=5, seed=1) == 0.0
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_kernel_diameter_lower_needs_a_restart(restarts):
+    mat = generate(EnsembleSpec("gaussian", n=8, k=4, seed=2))
+    with pytest.raises(InvalidSpecError, match="restarts must be >= 1"):
+        kernel_diameter_lower(mat, BallDescriptor.l1_ball(8), restarts=restarts, seed=1)
 
 
 def test_kernel_diameter_lower_matches_vertex_oracle():
@@ -290,8 +303,7 @@ def test_kernel_diameter_lower_never_decreases_with_restarts(ball):
 def test_kernel_diameter_upper_identity_certifies():
     n = 3
     mat = MeasurementMatrix(entries=np.eye(n) * math.sqrt(n),
-                            spec=EnsembleSpec("gaussian", n=n, k=n, seed=0),
-                            normalization="raw")
+                            spec=EnsembleSpec("gaussian", n=n, k=n, seed=0))
     # the weak-lp balls take the required_hull_sparsity route
     for ball in (BallDescriptor.l1_ball(n), BallDescriptor.weak_lp_ball(n, 0.5),
                  BallDescriptor.weak_lp_ball(n, 0.8)):
@@ -307,8 +319,7 @@ def test_kernel_diameter_upper_refuses_kernel_vector():
     entries = rng.standard_normal((2, 3))
     entries[:, -1] = 0.0            # e_3 in kernel, inside B1, norm 1 > rho
     mat = MeasurementMatrix(entries=entries,
-                            spec=EnsembleSpec("gaussian", n=3, k=2, seed=0),
-                            normalization="raw")
+                            spec=EnsembleSpec("gaussian", n=3, k=2, seed=0))
     cert = kernel_diameter_upper(mat, BallDescriptor.l1_ball(3), rho=0.5,
                                  theta=0.5, seed=3, net_budget=1e6,
                                  stall_limit=20_000)

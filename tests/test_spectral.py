@@ -12,7 +12,7 @@ import pytest
 
 from riplab import spectral
 from riplab._util import blas_threads, philox
-from riplab.ensembles import KINDS, EnsembleSpec, MeasurementMatrix, generate, row_normalize
+from riplab.ensembles import KINDS, EnsembleSpec, MeasurementMatrix, generate
 from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
 from riplab.geometry import BallDescriptor
 from riplab.nets import Net, sparse_set_net
@@ -23,14 +23,12 @@ from riplab.spectral import (EXACT_METHOD, MC_METHOD, RipReport, SupportSet, che
 
 def scaled_identity(n):
     spec = EnsembleSpec("gaussian", n=n, k=n, seed=0)
-    return MeasurementMatrix(entries=np.eye(n) * math.sqrt(n), spec=spec,
-                             normalization="raw")
+    return MeasurementMatrix(entries=np.eye(n) * math.sqrt(n), spec=spec)
 
 
 def first_rows_identity(n, k):
     spec = EnsembleSpec("gaussian", n=n, k=k, seed=0)
-    return MeasurementMatrix(entries=np.eye(n)[:k] * math.sqrt(k), spec=spec,
-                             normalization="raw")
+    return MeasurementMatrix(entries=np.eye(n)[:k] * math.sqrt(k), spec=spec)
 
 
 @pytest.mark.parametrize("sparsity", [1, 3, 7])
@@ -94,13 +92,13 @@ def test_reports_do_not_depend_on_core_count(run, cores, monkeypatch):
 
 
 def _scaled(m, factor):
-    return MeasurementMatrix(entries=m.entries * factor, spec=m.spec, normalization="raw")
+    return MeasurementMatrix(entries=m.entries * factor, spec=m.spec)
 
 
 def _with_entry(m, value):
     entries = m.entries.copy()
     entries[0, 0] = value
-    return MeasurementMatrix(entries=entries, spec=m.spec, normalization="raw")
+    return MeasurementMatrix(entries=entries, spec=m.spec)
 
 
 def _mc_supports(n, sparsity, trials, seed):
@@ -140,7 +138,7 @@ def _near_copies(seed, copies=3):
     entries = np.concatenate([base * (1 + rng.integers(-4, 5, size=4) * 2.0 ** -52)
                               for _ in range(copies)], axis=1)
     spec = EnsembleSpec("gaussian", n=entries.shape[1], k=4, seed=seed)
-    return MeasurementMatrix(entries=entries, spec=spec, normalization="raw")
+    return MeasurementMatrix(entries=entries, spec=spec)
 
 
 BERNOULLI_DUPLICATES = generate(EnsembleSpec("bernoulli", n=40, k=4, seed=2))
@@ -309,8 +307,6 @@ def test_gram_eigs_errors():
     m = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=1))
     with pytest.raises(EmptySupportError):
         gram_extremal_eigs(m, SupportSet(indices=(), n=8))
-    with pytest.raises(InvalidSpecError):
-        gram_extremal_eigs(row_normalize(m), SupportSet(indices=(0,), n=8))
 
 
 @pytest.mark.parametrize("entries", ["inf-entry", "nan-entry", "overflow"])
@@ -345,7 +341,7 @@ def test_gram_is_exactly_symmetric(kind):
             cols = np.sort(rng.choice(n, size=max(1, n // 3), replace=False)).tolist()
             # the same entries in a column-strided array
             strided = MeasurementMatrix(entries=np.repeat(m.entries, 2, axis=1)[:, ::2],
-                                        spec=m.spec, normalization="raw")
+                                        spec=m.spec)
             gram = spectral._gram(m)
             assert np.array_equal(spectral._gram(strided), gram)
             for g in (gram, spectral._gram(m, cols)):
@@ -600,18 +596,15 @@ def test_max_passing_sparsity_reaches_min_k_n(make):
     assert max_passing_sparsity(mat, 0.5, 50, 0) == (top, full, None)
 
 
-@pytest.mark.parametrize("theta,trials,normalize,error", [
-    (0.0, 10, False, InvalidSpecError),
-    (1.0, 10, False, InvalidSpecError),
-    (math.nan, 10, False, InvalidSpecError),
-    (0.5, 0, False, InvalidSpecError),
-    (0.5, 2_000_001, False, BudgetError),
-    (0.5, 10, True, InvalidSpecError),
-], ids=["theta-0", "theta-1", "theta-nan", "no-trials", "over-budget", "row-normalized"])
-def test_max_passing_sparsity_rejects_bad_input(theta, trials, normalize, error, monkeypatch):
+@pytest.mark.parametrize("theta,trials,error", [
+    (0.0, 10, InvalidSpecError),
+    (1.0, 10, InvalidSpecError),
+    (math.nan, 10, InvalidSpecError),
+    (0.5, 0, InvalidSpecError),
+    (0.5, 2_000_001, BudgetError),
+], ids=["theta-0", "theta-1", "theta-nan", "no-trials", "over-budget"])
+def test_max_passing_sparsity_rejects_bad_input(theta, trials, error, monkeypatch):
     mat = generate(EnsembleSpec("bernoulli", n=12, k=6, seed=1))
-    if normalize:
-        mat = row_normalize(mat)
     widths = _offset_draws(monkeypatch)
     with pytest.raises(error):
         max_passing_sparsity(mat, theta, trials, 0)
@@ -731,7 +724,6 @@ def test_rip_mc_stream_stays_off_repr_and_eq():
     assert one[0] == one[1]
     with pytest.raises(ValueError, match="ambiguous"):   # as for any ndarray field
         a == b
-    assert row_normalize(a)._mc_stream == []
 
 
 def test_fisher_yates_working_memory_is_bounded():
@@ -783,7 +775,7 @@ def test_check_uup_identity_and_zero_column():
     m = generate(EnsembleSpec("gaussian", n=6, k=4, seed=1))
     entries = m.entries.copy()
     entries[:, 2] = 0.0
-    broken = MeasurementMatrix(entries=entries, spec=m.spec, normalization="raw")
+    broken = MeasurementMatrix(entries=entries, spec=m.spec)
     res = check_uup(broken, theta=0.9, lam=3.0)
     assert not res.holds
 
@@ -812,45 +804,50 @@ def test_check_uup_calibrated_lambda_seed_sweep():
 
 def test_verify_on_net_coordinate_spikes():
     m = generate(EnsembleSpec("gaussian", n=8, k=5, seed=4))
-    norm = row_normalize(m)
     net = Net(points=np.eye(8), epsilon=0.1,
               ambient=BallDescriptor.euclidean_sphere(8))
-    res = verify_on_net(norm, net, theta=0.5)
-    col_norms = np.linalg.norm(norm.entries, axis=0)
+    res = verify_on_net(m, net, theta=0.5)
+    col_norms = np.linalg.norm(m.entries / math.sqrt(5), axis=0)
     expected_bad = {int(i) for i in np.nonzero(np.abs(col_norms - 1) > 0.1)[0]}
     assert {i for i, _ in res.violations} == expected_bad
     assert res.all_pass == (not expected_bad)
 
 
 def test_verify_on_net_identity_passes_and_contracts():
-    norm = row_normalize(scaled_identity(6))
     net = sparse_set_net(6, 2, 0.5, "sphere", seed=5)
-    res = verify_on_net(norm, net, theta=0.5)
+    res = verify_on_net(scaled_identity(6), net, theta=0.5)
     assert res.all_pass and not res.violations
 
 
 def test_verify_on_net_agrees_with_plain_loop():
     # sphere cover of the 2-sparse set at eps = 0.1, re-checked independently
-    m = row_normalize(generate(EnsembleSpec("gaussian", n=32, k=24, seed=6)))
+    m = generate(EnsembleSpec("gaussian", n=32, k=24, seed=6))
     net = sparse_set_net(32, 2, 0.1, "sphere", seed=7)
     res = verify_on_net(m, net, theta=0.5)
     bad = []
     for i, point in enumerate(net.points):
-        dev = abs(np.linalg.norm(m.entries @ point) - 1.0)
+        dev = abs(np.linalg.norm((m.entries / math.sqrt(24)) @ point) - 1.0)
         if dev > 0.1:
             bad.append(i)
     assert [i for i, _ in res.violations] == bad
     assert res.all_pass == (not bad)
 
 
-def test_verify_on_net_requires_normalized_and_flags_empty():
+def test_verify_on_net_flags_empty():
     m = generate(EnsembleSpec("gaussian", n=4, k=2, seed=1))
     net = Net(points=np.empty((0, 4)), epsilon=0.1,
               ambient=BallDescriptor.euclidean_sphere(4))
-    with pytest.raises(InvalidSpecError):
-        verify_on_net(m, net, theta=0.5)
-    res = verify_on_net(row_normalize(m), net, theta=0.5)
+    res = verify_on_net(m, net, theta=0.5)
     assert res.all_pass and res.degenerate
+
+
+@pytest.mark.parametrize("theta", [math.nan, 0.0, 1.0, -0.5])
+def test_verify_on_net_rejects_theta_outside_0_1(theta):
+    # every comparison with NaN is false, so an unchecked NaN would pass every point
+    m = generate(EnsembleSpec("gaussian", n=4, k=2, seed=1))
+    net = Net(points=np.eye(4), epsilon=0.1, ambient=BallDescriptor.euclidean_sphere(4))
+    with pytest.raises(InvalidSpecError, match="0 < theta < 1"):
+        verify_on_net(m, net, theta=theta)
 
 
 def test_theta_scaling_in_k():
