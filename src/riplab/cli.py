@@ -46,8 +46,6 @@ _CONSTRUCTIONS = {"greedy": (("epsilon", "dim"), "ball"),
                   "sparse": (("epsilon", "n", "m"), "sphere"),
                   "difference": (("n", "m", "radius"), None)}
 
-log = logging.getLogger("riplab")
-
 
 class UsageError(Exception):
     pass

@@ -54,15 +54,6 @@ class TailReport:
             "excluded_t": list(self.excluded_t),
         })
 
-    def to_csv(self, k: int) -> str:
-        """Rows (t, empirical_tail, bernstein_bound_at_fitted_c0)."""
-        lines = ["t,empirical_tail,bernstein_bound"]
-        for t, tail in zip(self.t_grid, self.empirical_tail):
-            bound = 0.0 if math.isinf(self.fitted_c0) else math.exp(
-                -self.fitted_c0 * t * t * k)
-            lines.append(f"{t:.17g},{tail:.17g},{bound:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _map_chunks(spec: EnsembleSpec, trials: int, seed: int, fn) -> list:
     """fn(lo, block) over the matrix chunks of ``trials`` trials, in chunk order.

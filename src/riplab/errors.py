@@ -9,16 +9,8 @@ class InvalidSpecError(RiplabError, ValueError):
     """A parameter record violates its invariants."""
 
 
-class EmptySupportError(RiplabError, ValueError):
-    """An operation received an empty support set."""
-
-
 class BudgetError(RiplabError):
     """An enumeration or construction would exceed its configured budget."""
-
-
-class UnsupportedAmbientError(RiplabError, ValueError):
-    """No sampler is defined for the requested ambient set."""
 
 
 class CoverViolationError(RiplabError):

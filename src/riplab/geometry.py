@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import philox
-from .errors import InvalidSpecError, UnsupportedAmbientError
+from .errors import InvalidSpecError
 
 FAMILIES = ("lp", "weak-lp", "l1", "l2", "sparse-sphere", "sparse-ball")
 
@@ -144,11 +144,17 @@ def member(x: np.ndarray, ball: BallDescriptor, atol: float = DEFAULT_ATOL) -> b
     raise InvalidSpecError(fam)  # pragma: no cover
 
 
+def weak_lp_envelope(dim: int, p: float, radius: float = 1.0) -> np.ndarray:
+    """The weak-lp envelope radius * i^(-1/p), i = 1..dim: the largest
+    non-increasing rearrangement in the ball of that radius."""
+    return radius * np.arange(1, dim + 1) ** (-1.0 / p)
+
+
 def _in_weak_lp(x: np.ndarray, ball: BallDescriptor, atol: float) -> np.ndarray:
     """Weak-lp membership of each row of x (the last axis is the vector)."""
     # the all-thresholds definition reduces to the n sorted positions
     star = -np.sort(-np.abs(x), axis=-1)
-    envelope = ball.radius * np.arange(1, ball.dim + 1) ** (-1.0 / ball.p)
+    envelope = weak_lp_envelope(ball.dim, ball.p, ball.radius)
     return np.all(star <= envelope + atol, axis=-1)
 
 
@@ -244,7 +250,7 @@ def sample_ambient_batch(rng: np.random.Generator, ball: BallDescriptor,
             rng.random(out=radial[lo:lo + per_call])
         mags = e / e.sum(axis=1, keepdims=True)
         return (signs * 2.0 - 1.0) * mags * (rad * np.float_power(radial, 1.0 / dim))
-    raise UnsupportedAmbientError(f"no uniform sampler for family {fam!r}")
+    raise InvalidSpecError(f"no uniform sampler for family {fam!r}")
 
 
 def sample_weak_lp_ball(rng: np.random.Generator, ball: BallDescriptor,
@@ -256,7 +262,7 @@ def sample_weak_lp_ball(rng: np.random.Generator, ball: BallDescriptor,
     """
     if ball.family != "weak-lp":
         raise InvalidSpecError(f"expected a weak-lp ball, got {ball.family!r}")
-    envelope = ball.radius * np.arange(1, ball.dim + 1) ** (-1.0 / ball.p)
+    envelope = weak_lp_envelope(ball.dim, ball.p, ball.radius)
     mags = rng.uniform(0.0, 1.0, (count, ball.dim)) * envelope
     signs = rng.integers(0, 2, (count, ball.dim)) * 2.0 - 1.0
     return rng.permuted(signs * mags, axis=1)
@@ -332,7 +338,7 @@ def weak_lp_dual_bound_check(x: np.ndarray, p: float, m: int, probes: int,
     if denom == 0.0:
         return DualBoundCheck(max_ratio=0.0, pass_=True, probes_used=probes)
     r = weak_lp_cap_radius(p, m)
-    envelope = r * np.arange(1, n + 1) ** (-1.0 / p)
+    envelope = weak_lp_envelope(n, p, r)
     probed = sample_unit_cap(philox(seed, "dual-bound"),
                              BallDescriptor.weak_lp_ball(n, p, radius=r), probes)
     thresholds = np.geomspace(envelope[-1], envelope[0], 64)

@@ -457,6 +457,8 @@ def sparse_set_net(n: int, m: int, epsilon: float, target: str, seed: int,
         raise InvalidSpecError("target must be 'sphere' or 'ball'")
     if not 0.0 < epsilon <= 2.0:
         raise InvalidSpecError("need 0 < epsilon <= 2")
+    if not budget > 0:           # also refuses NaN, which passes bound > budget
+        raise InvalidSpecError(f"budget must be > 0, got {budget!r}")
     bound = sparse_net_bound(n, m, epsilon)
     if bound > budget:
         raise BudgetError(

@@ -18,7 +18,7 @@ from ._util import philox
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate
 from .errors import BudgetError, InfeasibleError, InvalidSpecError
 from .geometry import (BallDescriptor, member, required_hull_sparsity, row_norms,
-                       sample_ambient_batch, sample_weak_lp_ball)
+                       sample_ambient_batch, sample_weak_lp_ball, weak_lp_envelope)
 from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
@@ -40,15 +40,6 @@ def km_cp(p: float) -> float:
     return KM_CP_L1 * 2.0 ** (1.0 / p - 1.0)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    basis: np.ndarray            # (dim, n), orthonormal rows spanning ker
-    dim: int
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-
 def _svd_rank(entries: np.ndarray, full_matrices: bool = False):
     """SVD (u, svals, vt) of entries and its numerical rank under RANK_CUT.
 
@@ -60,10 +51,13 @@ def _svd_rank(entries: np.ndarray, full_matrices: bool = False):
     return u, svals, vt, rank
 
 
-def kernel_basis(m: MeasurementMatrix) -> KernelBasis:
-    """Orthonormal kernel basis via SVD, rank cut at RANK_CUT of the top value."""
+def kernel_basis(m: MeasurementMatrix) -> np.ndarray:
+    """Read-only (d, n) orthonormal rows spanning the kernel, via SVD with the
+    rank cut at RANK_CUT of the top value."""
     _, _, vt, rank = _svd_rank(m.entries, full_matrices=True)
-    return KernelBasis(basis=vt[rank:], dim=m.n - rank)
+    basis = vt[rank:]
+    basis.setflags(write=False)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -340,13 +334,12 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
         raise InvalidSpecError("lower bound supports l1 and weak-lp balls")
     if restarts < 1:
         raise InvalidSpecError("restarts must be >= 1")
-    kb = kernel_basis(m)
-    if kb.dim == 0:
+    v = kernel_basis(m)               # (d, n)
+    d = len(v)
+    if d == 0:
         return 0.0
-    v = kb.basis                      # (d, n)
     rng = philox(seed, "kernel-lower")
-    c = np.vstack([np.eye(kb.dim)[:restarts],
-                   rng.standard_normal((max(restarts - kb.dim, 0), kb.dim))])
+    c = np.vstack([np.eye(d)[:restarts], rng.standard_normal((max(restarts - d, 0), d))])
     c /= row_norms(c)[:, None]
     best = np.zeros(restarts)
     best_z = np.zeros((restarts, m.n))
@@ -365,7 +358,7 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
     cands, norms = best_z, best
     if ball.family == "l1":
         # the last right singular vector is the unit null vector of the columns
-        support = np.argsort(-np.abs(best_z), axis=1, kind="stable")[:, :m.n - kb.dim + 1]
+        support = np.argsort(-np.abs(best_z), axis=1, kind="stable")[:, :m.n - d + 1]
         _, _, vt = np.linalg.svd(m.entries[:, support].transpose(1, 0, 2))
         vertex = np.zeros_like(best_z)
         np.put_along_axis(vertex, support, vt[:, -1], axis=1)
@@ -486,7 +479,7 @@ def draw_signal(ball: BallDescriptor, model: str, seed: int,
         return t0 / _gauge(t0[None], ball)[0][0]
     if model == "weak-lp-extremal":
         p = 1.0 if ball.family == "l1" else ball.p
-        mags = np.arange(1, n + 1) ** (-1.0 / p)
+        mags = weak_lp_envelope(n, p)
         signs = rng.integers(0, 2, n) * 2.0 - 1.0
         t0 = (signs * mags)[rng.permutation(n)]
         return t0 / _gauge(t0[None], ball)[0][0]

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._util import available_cores, blas_threads, derive_seed, parallel_map, rekey
 from .ensembles import MeasurementMatrix
-from .errors import BudgetError, EmptySupportError, InvalidSpecError
+from .errors import BudgetError, InvalidSpecError
 from .nets import Net
 
 EXACT_METHOD = "exact-enumeration"
@@ -224,7 +224,7 @@ def _gram(m: MeasurementMatrix, cols=slice(None)) -> np.ndarray:
 def gram_extremal_eigs(m: MeasurementMatrix, a: SupportSet) -> tuple[float, float]:
     """Extremal eigenvalues of (G_A^T G_A)/k for the column subset A."""
     if len(a) == 0:
-        raise EmptySupportError("support must be nonempty")
+        raise InvalidSpecError("support must be nonempty")
     if a.n != m.n:
         raise InvalidSpecError("support ambient dimension does not match matrix")
     gram = _gram(m, list(a.indices))
@@ -276,6 +276,8 @@ def rip_exact(m: MeasurementMatrix, sparsity: int,
     """Exact accuracy at the given sparsity by enumerating all supports."""
     if not (1 <= sparsity <= m.n):
         raise InvalidSpecError("need 1 <= sparsity <= n")
+    if not budget > 0:           # also refuses NaN, which passes count > budget
+        raise InvalidSpecError(f"budget must be > 0, got {budget!r}")
     count = math.comb(m.n, sparsity)
     if count > budget:
         raise BudgetError(
@@ -314,11 +316,6 @@ def _fisher_yates_rows(offsets: np.ndarray, n: int) -> np.ndarray:
             arr[r, swap] = head
         out[lo:lo + block] = arr[:, :m]
     return out
-
-
-def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """First m entries of a Fisher-Yates shuffle of range(n)."""
-    return _fisher_yates_rows(_fisher_yates_offsets(rng, n, m)[None], n)[0]
 
 
 # guards the check-and-set of a matrix's remembered support stream
@@ -364,6 +361,8 @@ def _check_trials(trials: int, budget: int) -> None:
     """The Monte Carlo trial count checks, made before any support is drawn."""
     if trials < 1:
         raise InvalidSpecError("trials must be >= 1")
+    if not budget > 0:           # also refuses NaN, which passes trials > budget
+        raise InvalidSpecError(f"budget must be > 0, got {budget!r}")
     if trials > budget:
         raise BudgetError(f"{trials} trials exceed budget {budget} supports")
 

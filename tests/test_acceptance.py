@@ -26,10 +26,10 @@ from riplab.nets import (certify_cover, greedy_separated_net, hull_decompose,
                          sparse_set_net)
 from riplab.recon import (hull_membership, kernel_diameter_lower, kernel_diameter_upper,
                           l1_minimize, recon_experiment, rho_from_budget)
-from riplab.spectral import (fisher_yates_prefix, max_passing_sparsity, rip_exact,
-                             rip_monte_carlo)
+from riplab.spectral import max_passing_sparsity, rip_exact, rip_monte_carlo
 from riplab.cli import main as cli_main
 from test_recon import enumerated_objective, exact_l1_kernel_diameter
+from test_spectral import fisher_yates_prefix
 
 pytestmark = pytest.mark.acceptance
 

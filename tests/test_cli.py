@@ -260,6 +260,22 @@ def test_nets_verify_rejects_nan_point_and_bad_epsilon(tmp_path, capsys, field, 
     assert "corrupt net file" in capsys.readouterr().err
 
 
+def test_nets_verify_weak_lp_net_reports_no_cover_verdict(tmp_path, capsys):
+    # no uniform sampler covers a weak-lp ball: the probe's InvalidSpecError
+    # becomes a null verdict with a note, not an exit code
+    net_file = tmp_path / "net.json"
+    assert run(["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5,
+                "--ambient", "ball", "--seed", 4, "--probes", 500, "--out", net_file]) == 0
+    obj = json.loads(net_file.read_text())
+    obj["ambient"] = {"family": "weak-lp", "radius": 1.0, "dim": 2, "p": 0.5}
+    net_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["nets", "--verify", net_file]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert '"cover_pass": null' in line
+    assert "weak-lp" in json.loads(line)["note"]
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

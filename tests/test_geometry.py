@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riplab._util import philox
-from riplab.errors import InvalidSpecError, UnsupportedAmbientError
+from riplab.errors import InvalidSpecError
 from riplab.geometry import (BallDescriptor, block_norm_witness,
                              hull_inclusion_check, member,
                              quasiconvexity_constant_check, rearrange,
@@ -210,7 +210,7 @@ def test_l1_sampler_and_batch_ambients():
     assert pts.shape == (50, 10)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert np.all(np.count_nonzero(pts, axis=1) <= 3)
-    with pytest.raises(UnsupportedAmbientError):
+    with pytest.raises(InvalidSpecError, match="no uniform sampler"):
         sample_ambient_batch(rng, BallDescriptor.weak_lp_ball(4, 0.5), 1)
 
 

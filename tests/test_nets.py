@@ -11,8 +11,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from riplab._util import philox
-from riplab.errors import (BudgetError, CoverViolationError, InvalidSpecError,
-                           UnsupportedAmbientError)
+from riplab.errors import BudgetError, CoverViolationError, InvalidSpecError
 from riplab.geometry import BallDescriptor, sample_ambient_batch, top_m_l2
 from riplab import nets as nets_module
 from riplab.nets import (Net, _CoverGrid, _far_candidates, _kernel_cols, _kernel_error,
@@ -86,7 +85,7 @@ def test_cover_check_antipode_fails():
 def test_cover_check_unsupported_ambient():
     net = Net(points=np.zeros((1, 3)), epsilon=1.0,
               ambient=BallDescriptor.weak_lp_ball(3, 0.5))
-    with pytest.raises(UnsupportedAmbientError):
+    with pytest.raises(InvalidSpecError, match="no uniform sampler"):
         cover_check(net, 10, seed=0)
 
 
@@ -121,6 +120,18 @@ def test_sparse_net_ball_cover_passes():
 def test_sparse_net_budget_error():
     with pytest.raises(BudgetError):
         sparse_set_net(30, 6, 0.1, "sphere", seed=0, budget=1e6)
+
+
+def _no_greedy_net(*args, **kwargs):
+    raise AssertionError("a greedy net was built")
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+def test_sparse_net_refuses_a_budget_that_is_not_positive(budget, monkeypatch):
+    # NaN passes "bound > budget"; this bound (1.56e10) would build a 6-dim net
+    monkeypatch.setattr(nets_module, "greedy_separated_net", _no_greedy_net)
+    with pytest.raises(InvalidSpecError, match="budget must be > 0"):
+        sparse_set_net(6, 6, 0.1, "sphere", seed=0, budget=budget)
 
 
 def test_net_size_bounds_overflow_to_inf():

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import riplab
-from riplab import recon
+from riplab import nets, recon
 from riplab._util import philox
 from riplab.ensembles import EnsembleSpec, MeasurementMatrix, generate
 from riplab.errors import BudgetError, InfeasibleError, InvalidSpecError
@@ -78,9 +78,9 @@ def first_rows_identity(n, k):
 
 def test_kernel_basis_identity_rows():
     kb = kernel_basis(first_rows_identity(8, 5))
-    assert kb.dim == 3
+    assert len(kb) == 3
     # basis spans exactly the last three coordinates
-    proj = kb.basis.T @ kb.basis
+    proj = kb.T @ kb
     expected = np.zeros((8, 8))
     expected[5:, 5:] = np.eye(3)
     assert np.allclose(proj, expected, atol=1e-12)
@@ -88,12 +88,12 @@ def test_kernel_basis_identity_rows():
 
 def test_kernel_basis_full_rank_and_residuals():
     square = generate(EnsembleSpec("gaussian", n=6, k=6, seed=3))
-    assert kernel_basis(square).dim == 0
+    assert len(kernel_basis(square)) == 0
     wide = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=5))
     kb = kernel_basis(wide)
-    assert kb.dim == 4
-    assert np.allclose(kb.basis @ kb.basis.T, np.eye(4), atol=1e-10)
-    resid = np.abs(wide.entries @ kb.basis.T).max()
+    assert len(kb) == 4 and not kb.flags.writeable
+    assert np.allclose(kb @ kb.T, np.eye(4), atol=1e-10)
+    resid = np.abs(wide.entries @ kb.T).max()
     assert resid <= 1e-9 * np.linalg.norm(wide.entries)
 
 
@@ -184,7 +184,7 @@ def test_primal_dual_rank_deficient_bernoulli():
     rng = philox(1081, "acc10")
     n, k = int(rng.integers(8, 13)), int(rng.integers(4, 7))
     mat = generate(EnsembleSpec("bernoulli", n=n, k=k, seed=2081))
-    assert (n, k) == (9, 6) and kernel_basis(mat).dim == n - 5
+    assert (n, k) == (9, 6) and len(kernel_basis(mat)) == n - 5
     s = int(rng.integers(1, 3))
     t0 = np.zeros(n)
     t0[rng.choice(n, s, replace=False)] = rng.standard_normal(s)
@@ -249,7 +249,7 @@ def test_kernel_diameter_lower_weak_lp_route():
     # at least the best of 20k random kernel directions scaled onto the ball
     # (1.000), at most twice the norm of the weak-lp envelope (2.080)
     dirs = philox(12, "weak-lp-route").standard_normal((20_000, 4))
-    z = dirs @ kernel_basis(mat).basis
+    z = dirs @ kernel_basis(mat)
     sampled = float(np.max(2.0 * np.linalg.norm(z, axis=1) / weak_lp_gauge(z, 0.5)))
     envelope = np.arange(1, 9) ** -2.0
     assert sampled <= lo <= 2.0 * np.linalg.norm(envelope)
@@ -279,7 +279,7 @@ def one_restart_search(basis, c, p, steps=400):
 def test_kernel_diameter_lower_rows_match_one_restart_search():
     # every row of the batched search rounds as its own one-vector run
     mat = generate(EnsembleSpec("bernoulli", n=16, k=8, seed=21))
-    basis = kernel_basis(mat).basis
+    basis = kernel_basis(mat)
     starts = np.vstack([np.eye(8), philox(5, "kernel-lower").standard_normal((4, 8))])
     expected = max(one_restart_search(basis, c, 0.5) for c in starts)
     lo = kernel_diameter_lower(mat, BallDescriptor.weak_lp_ball(16, 0.5),
@@ -339,6 +339,18 @@ def test_kernel_diameter_upper_budget_error_past_float_range():
     mat = generate(EnsembleSpec("bernoulli", n=256, k=128, seed=60))
     with pytest.raises(BudgetError, match="rho"):
         kernel_diameter_upper(mat, BallDescriptor.l1_ball(256), rho=1.0, seed=3)
+
+
+def test_kernel_diameter_upper_refuses_a_nan_net_budget(monkeypatch):
+    # NaN passes every "bound > budget" precheck: no net may be built
+    def no_greedy_net(*args, **kwargs):
+        raise AssertionError("a greedy net was built")
+
+    monkeypatch.setattr(nets, "greedy_separated_net", no_greedy_net)
+    mat = generate(EnsembleSpec("bernoulli", n=32, k=16, seed=60))
+    with pytest.raises(InvalidSpecError, match="budget must be > 0"):
+        kernel_diameter_upper(mat, BallDescriptor.l1_ball(32), rho=1.0, seed=3,
+                              net_budget=math.nan)
 
 
 def test_kernel_diameter_upper_rejects_vacuous_theta():

@@ -13,12 +13,18 @@ import pytest
 from riplab import spectral
 from riplab._util import blas_threads, philox
 from riplab.ensembles import KINDS, EnsembleSpec, MeasurementMatrix, generate
-from riplab.errors import BudgetError, EmptySupportError, InvalidSpecError
+from riplab.errors import BudgetError, InvalidSpecError
 from riplab.geometry import BallDescriptor
 from riplab.nets import Net, sparse_set_net
 from riplab.spectral import (EXACT_METHOD, MC_METHOD, RipReport, SupportSet, check_uup,
-                             fisher_yates_prefix, gram_extremal_eigs, max_passing_sparsity,
-                             rip_exact, rip_monte_carlo, verify_on_net)
+                             gram_extremal_eigs, max_passing_sparsity, rip_exact,
+                             rip_monte_carlo, verify_on_net)
+
+
+def fisher_yates_prefix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """First m entries of a Fisher-Yates shuffle of range(n): the one-stream
+    oracle for the library's blocked shuffle of many trials."""
+    return spectral._fisher_yates_rows(spectral._fisher_yates_offsets(rng, n, m)[None], n)[0]
 
 
 def scaled_identity(n):
@@ -305,7 +311,7 @@ def test_gram_eigs_bernoulli_pair_closed_form():
 
 def test_gram_eigs_errors():
     m = generate(EnsembleSpec("bernoulli", n=8, k=4, seed=1))
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(InvalidSpecError, match="nonempty"):
         gram_extremal_eigs(m, SupportSet(indices=(), n=8))
 
 
@@ -421,6 +427,36 @@ def test_rip_mc_trials_over_budget_raise_before_drawing():
         rip_monte_carlo(m, 3, trials=10 ** 11, seed=0)
     with pytest.raises(BudgetError):
         check_uup(m, 0.5, 2.0, method=MC_METHOD, trials=101, budget=100)
+
+
+def _no_eigenvalue_work(*args, **kwargs):
+    raise AssertionError("eigenvalue work ran")
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0, -1.0])
+def test_rip_exact_refuses_a_budget_that_is_not_positive(budget, monkeypatch):
+    # NaN passes "count > budget", so it used to enumerate all 252 supports
+    m = generate(EnsembleSpec("bernoulli", n=10, k=5, seed=1))
+    monkeypatch.setattr(spectral, "_extremal_eigs", _no_eigenvalue_work)
+    with pytest.raises(InvalidSpecError, match="budget must be > 0"):
+        rip_exact(m, 5, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0, -1.0])
+def test_rip_mc_refuses_a_budget_that_is_not_positive(budget, monkeypatch):
+    m = generate(EnsembleSpec("bernoulli", n=10, k=5, seed=1))
+    widths = _offset_draws(monkeypatch)
+    monkeypatch.setattr(spectral, "_extremal_eigs", _no_eigenvalue_work)
+    with pytest.raises(InvalidSpecError, match="budget must be > 0"):
+        rip_monte_carlo(m, 5, trials=10, seed=0, budget=budget)
+    assert widths == []
+
+
+def test_an_infinite_budget_is_no_cap():
+    m = generate(EnsembleSpec("bernoulli", n=10, k=5, seed=1))
+    assert rip_exact(m, 5, budget=math.inf) == rip_exact(m, 5)
+    assert (rip_monte_carlo(m, 5, trials=10, seed=0, budget=math.inf)
+            == rip_monte_carlo(m, 5, trials=10, seed=0))
 
 
 @pytest.mark.parametrize("sparsity", [0, 17])
