@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 U64 = np.uint64
-_U64_MASK = (1 << 64) - 1
 # thread-count controls exported by the OpenBLAS that numpy wheels bundle
 _BLAS_GET = "scipy_openblas_get_num_threads64_"
 _BLAS_SET = "scipy_openblas_set_num_threads64_"

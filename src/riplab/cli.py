@@ -22,7 +22,7 @@ from .nets import (Net, certify_cover, cover_check, difference_set_net,
                    greedy_separated_net, min_pairwise_distance, net_from_json,
                    net_to_json, sparse_net_bound, sparse_set_net,
                    volumetric_bound)
-from .recon import recon_experiment, rho_from_budget
+from .recon import T0_MODELS, recon_experiment, rho_from_budget
 from .spectral import (EXACT_METHOD, MC_METHOD, SUPPORT_BUDGET, check_uup, rip_exact,
                        rip_monte_carlo)
 
@@ -187,7 +187,7 @@ def cmd_uup(args) -> int:
                            trials=args.trials, seed=seed, budget=args.budget)
         measured = result.report.theta if result.report else 0.0
         return (seed, int(result.holds), measured, result.support_bound,
-                int(result.degenerate))
+                int(result.report is None))
 
     rows = parallel_map(one, list(args.seeds), threads=args.threads)
     rows.sort(key=lambda r: r[0])
@@ -344,8 +344,7 @@ def build_parser() -> _Parser:
     c.add_argument("--ball", choices=("l1", "weak-lp"), required=True)
     c.add_argument("--p", type=float)
     c.add_argument("--radius", type=float, default=1.0)
-    c.add_argument("--t0-model", choices=("sparse", "weak-lp-extremal", "random-ball"),
-                   required=True)
+    c.add_argument("--t0-model", choices=T0_MODELS, required=True)
     c.add_argument("--sparsity", type=int, default=1)
     c.add_argument("--seeds", type=seed_range, required=True, help="seed range lo:hi")
     c.add_argument("--k-list", type=int_list, required=True, help="comma list of k values")

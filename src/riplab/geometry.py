@@ -440,7 +440,7 @@ def truncation_cover_point(x: np.ndarray, p: float, m: int,
 
 
 # ---------------------------------------------------------------------------
-# quasi-convexity and the sparsity inflation of the hull reduction
+# quasi-convexity
 
 
 def quasiconvexity_constant_check(p: float, trials: int, n: int, seed: int) -> bool:
@@ -459,18 +459,3 @@ def quasiconvexity_constant_check(p: float, trials: int, n: int, seed: int) -> b
     y = sample_weak_lp_ball(rng, ball, trials)
     return bool(np.all(_in_weak_lp((x + y) / scale, ball, atol=1e-9)))
 
-
-def required_hull_sparsity(p: float, m: int, eps: float) -> int:
-    """Sparsity m1 with (2^(1+1/p) m^(1/p-1/2) / eps) <= (1/p-1) m1^(1/p-1/2).
-
-    This is the inflation that pushes the quasi-convexity-widened difference
-    body into 2 conv of an m1-sparse ball at scale eps.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidSpecError("requires 0 < p < 1")
-    expo = 1.0 / p - 0.5
-    factor = ((1.0 / p - 1.0) ** -1 * (2.0 / eps) * 2.0 ** (1.0 / p)) ** (1.0 / expo)
-    m1 = math.ceil(max(factor * m, m))
-    assert (2.0 ** (1.0 + 1.0 / p) * m ** expo / eps
-            <= (1.0 / p - 1.0) * m1 ** expo * (1 + 1e-12))
-    return m1

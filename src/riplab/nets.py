@@ -377,7 +377,7 @@ def greedy_separated_net(dim: int, epsilon: float, ambient: str, seed: int,
         f"packing bound violated: {points.shape[0]} > {bound}")
     sep = min_pairwise_distance(points)
     assert sep > epsilon
-    return Net(points=points, epsilon=epsilon, ambient=_ambient_descriptor(ambient, dim),
+    return Net(points=points, epsilon=epsilon, ambient=descriptor,
                certified_separated=True, min_pairwise=sep)
 
 

@@ -4,7 +4,7 @@ l1 minimization under exact equality constraints (a primal-dual
 interior-point solver that stops on a certified duality gap), hull
 membership decided by that solver, kernel-diameter lower bounds by
 nonconvex search with vertex polish, per-instance upper-bound
-certificates from the net machinery, and the end-to-end experiment.
+certificates of injectivity from a sphere net, and the end-to-end experiment.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from ._util import philox
 from .ensembles import EnsembleSpec, MeasurementMatrix, generate
 from .errors import BudgetError, InfeasibleError, InvalidSpecError
-from .geometry import (BallDescriptor, member, required_hull_sparsity, row_norms,
-                       sample_ambient_batch, sample_weak_lp_ball, weak_lp_envelope)
+from .geometry import (BallDescriptor, member, row_norms, sample_ambient_batch,
+                       sample_weak_lp_ball, weak_lp_envelope)
 from .nets import cover_check, sparse_set_net
 from .spectral import verify_on_net
 
@@ -380,11 +380,8 @@ class UpperBoundCertificate:
     rho: float                    # a radius: every kernel vector in the ball has |z| <= rho
     theta: float
     sphere_cover_size: int
-    hull_net_size: int
     norm_condition: bool          # | |G~ x| - 1 | <= theta/5 on the sphere cover
-    image_condition: bool         # |G~ z| <= 2 |z| on the hull net
     cover_probe_pass: bool
-    effective_sparsity: int
 
 
 def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float,
@@ -393,13 +390,13 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
                           stall_limit: int | None = 20_000) -> UpperBoundCertificate:
     """Per-instance certificate that ker(G~) cap ball lies in rho * B_2.
 
-    G~ = G/sqrt(k), with the kernel of G, is formed here.  rho is a radius,
-    not a diameter: the diameter is at most 2 rho.  Builds a theta/5-cover
-    of the unit sphere, which holds the rescaled sphere slice of the ball,
-    plus a scaled hull net for the difference body, and checks G~ on both.
-    When every condition holds, no kernel vector of the ball can exceed
-    norm rho (the near-isometry lower bound 1 - 9 theta/5 stays positive),
-    so the certificate needs theta < 5/9.  No probability claim is made.
+    G~ = G/sqrt(k); rho is a radius, so the diameter is at most 2 rho.
+    An injectivity check: | |G~ x| - 1 | <= theta/5 on a probed
+    theta/5-net of the unit sphere gives |G~ x| >= (1 - 3 theta/5) /
+    (1 - theta/5) > 0 there, so ker(G) = {0}.  Only rank-n matrices
+    certify, and rho and the ball never change the verdict.  The proof
+    needs theta < 5/3; theta outside (0, 5/9) is refused.  No probability
+    claim is made.
     """
     if not (0.0 < theta < 5.0 / 9.0):
         raise InvalidSpecError("certificate needs 0 < theta < 5/9 to be nonvacuous")
@@ -407,38 +404,17 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
         raise InvalidSpecError("rho must be positive")
     if ball.family not in ("l1", "weak-lp"):
         raise InvalidSpecError("upper bound supports l1 and weak-lp balls")
-    p = 1.0 if ball.family == "l1" else ball.p
-    n = m.n
-    eps = theta / 5.0
-    # slice scale: T = (radius/rho) ball cap sphere, sparse surrogate level m_eff
-    u = ball.radius / rho
-    m_eff = max(1, math.ceil(u ** (1.0 / (1.0 / p - 0.5))))
     try:
-        # sparse truncation would cover s = m_eff / (theta/20)^2 >= 1297
-        # sparse vectors, a net no budget admits: cover the slice directly
-        sphere_net = sparse_set_net(n, n, eps, "sphere", seed, net_budget,
+        sphere_net = sparse_set_net(m.n, m.n, theta / 5.0, "sphere", seed, net_budget,
                                     stall_limit=stall_limit)
-        if p == 1.0:
-            m1 = math.ceil((2.0 * u / eps) ** 2)
-        else:
-            m1 = required_hull_sparsity(p, m_eff, eps)
-        hull_net = sparse_set_net(n, min(m1, n), 0.5, "ball", seed + 1, net_budget,
-                                  stall_limit=stall_limit)
     except BudgetError as exc:
         raise BudgetError(f"net budget exceeded at rho = {rho}: {exc}") from exc
     probe = cover_check(sphere_net, COVER_PROBES, seed + 2)
-    cond1 = verify_on_net(m, sphere_net, theta)
-    # the hull net is eps * hull_net.points; |G~(eps q)| <= 2|eps q| is
-    # scale-free, so the condition is checked on the unscaled points
-    images = hull_net.points @ (m.entries / math.sqrt(m.k)).T
-    norms = np.linalg.norm(hull_net.points, axis=1)
-    cond2 = bool(np.all(np.linalg.norm(images, axis=1) <= 2.0 * norms + 1e-12))
-    certified = bool(cond1.all_pass and cond2 and probe.pass_)
+    cond = verify_on_net(m, sphere_net, theta)
     return UpperBoundCertificate(
-        certified=certified, rho=rho, theta=theta,
-        sphere_cover_size=len(sphere_net), hull_net_size=len(hull_net),
-        norm_condition=cond1.all_pass, image_condition=cond2,
-        cover_probe_pass=probe.pass_, effective_sparsity=m_eff)
+        certified=bool(cond.all_pass and probe.pass_), rho=rho, theta=theta,
+        sphere_cover_size=len(sphere_net), norm_condition=cond.all_pass,
+        cover_probe_pass=probe.pass_)
 
 
 def max_sparsity_for_budget(k: int, n: int, c_p: float, c1: float = KM_C1) -> int:

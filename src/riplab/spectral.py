@@ -433,8 +433,6 @@ class UupCheck:
     holds: bool
     report: RipReport | None
     support_bound: int
-    degenerate: bool = False
-    lower_bound_only: bool = False
 
 
 def check_uup(m: MeasurementMatrix, theta: float, lam: float,
@@ -444,7 +442,7 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
 
     Checks that all column subsets of size at most floor(k/lam) deviate by
     at most theta.  floor(k/lam) = 0 is reported as a vacuous pass, not an
-    error, because parameter sweeps hit it.
+    error (report None), because parameter sweeps hit it.
     """
     if not (0.0 < theta < 1.0):
         raise InvalidSpecError("need 0 < theta < 1")
@@ -452,18 +450,15 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
         raise InvalidSpecError("need lam > 1")
     bound = int(m.k / lam)
     if bound == 0:
-        return UupCheck(holds=True, report=None, support_bound=0, degenerate=True)
+        return UupCheck(holds=True, report=None, support_bound=0)
     bound = min(bound, m.n)
     if method == EXACT_METHOD:
         report = rip_exact(m, bound, budget=budget)
-        lower_only = False
     elif method == MC_METHOD:
         report = rip_monte_carlo(m, bound, trials, seed, budget=budget)
-        lower_only = True
     else:
         raise InvalidSpecError(f"unknown method {method!r}")
-    return UupCheck(holds=report.theta <= theta, report=report,
-                    support_bound=bound, lower_bound_only=lower_only)
+    return UupCheck(holds=report.theta <= theta, report=report, support_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -483,6 +478,6 @@ def verify_on_net(m: MeasurementMatrix, net: Net, theta: float) -> NetVerificati
         return NetVerification(all_pass=True, violations=(), degenerate=True)
     images = net.points @ (m.entries / math.sqrt(m.k)).T
     dev = np.abs(np.linalg.norm(images, axis=1) - 1.0)
-    bad = np.nonzero(dev > theta / 5.0)[0]
+    bad = np.nonzero(~(dev <= theta / 5.0))[0]    # a NaN deviation is a violation
     return NetVerification(all_pass=bad.size == 0,
                            violations=tuple((int(i), float(dev[i])) for i in bad))

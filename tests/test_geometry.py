@@ -9,7 +9,7 @@ from riplab.errors import InvalidSpecError
 from riplab.geometry import (BallDescriptor, block_norm_witness,
                              hull_inclusion_check, member,
                              quasiconvexity_constant_check, rearrange,
-                             required_hull_sparsity, sample_ambient_batch,
+                             sample_ambient_batch,
                              sample_unit_cap, sample_weak_lp_ball, top_m_l2,
                              truncation_cover_point, truncation_error_bound,
                              weak_lp_cap_radius, weak_lp_dual_bound_check)
@@ -164,23 +164,6 @@ def test_quasiconvexity_explicit_pair():
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
 def test_quasiconvexity_sampled(p):
     assert quasiconvexity_constant_check(p, trials=10_000, n=32, seed=7)
-
-
-def test_compute_m1_guarantee_and_monotonicity():
-    for p in (0.3, 0.5, 0.75):
-        prev = 0
-        for m in (1, 2, 3, 5, 8):
-            m1 = required_hull_sparsity(p, m, 0.1)
-            assert m1 >= m
-            expo = 1.0 / p - 0.5
-            assert (10.0 * 2.0 ** (1.0 + 1.0 / p) * m ** expo
-                    <= (1.0 / p - 1.0) * m1 ** expo * (1 + 1e-12))
-            assert m1 >= prev
-            prev = m1
-
-
-def test_required_hull_sparsity_scales_with_eps():
-    assert required_hull_sparsity(0.5, 2, 0.05) > required_hull_sparsity(0.5, 2, 0.2)
 
 
 def test_weak_lp_samplers_stay_inside():

@@ -304,14 +304,39 @@ def test_kernel_diameter_upper_identity_certifies():
     n = 3
     mat = MeasurementMatrix(entries=np.eye(n) * math.sqrt(n),
                             spec=EnsembleSpec("gaussian", n=n, k=n, seed=0))
-    # the weak-lp balls take the required_hull_sparsity route
+    # a trivial kernel: neither the ball nor rho changes the verdict
     for ball in (BallDescriptor.l1_ball(n), BallDescriptor.weak_lp_ball(n, 0.5),
                  BallDescriptor.weak_lp_ball(n, 0.8)):
-        cert = kernel_diameter_upper(mat, ball, rho=1.0,
-                                     theta=0.5, seed=3, net_budget=1e6,
-                                     stall_limit=60_000)
-        assert cert.certified
-        assert cert.norm_condition and cert.image_condition and cert.cover_probe_pass
+        for rho in (0.25, 1.0, 4.0):
+            cert = kernel_diameter_upper(mat, ball, rho=rho,
+                                         theta=0.5, seed=3, net_budget=1e6,
+                                         stall_limit=60_000)
+            assert cert.certified and cert.rho == rho
+            assert cert.norm_condition and cert.cover_probe_pass
+
+
+def test_kernel_diameter_upper_refuses_a_nan_entry():
+    # the norm check must fail on a NaN image, or the identity below would certify
+    n = 3
+    entries = np.eye(n) * math.sqrt(n)
+    entries[0, 0] = math.nan
+    mat = MeasurementMatrix(entries=entries,
+                            spec=EnsembleSpec("gaussian", n=n, k=n, seed=0))
+    cert = kernel_diameter_upper(mat, BallDescriptor.l1_ball(n), rho=1.0,
+                                 theta=0.5, seed=3, net_budget=1e6,
+                                 stall_limit=60_000)
+    assert not cert.certified and not cert.norm_condition
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_diameter_upper_never_certifies_a_wide_matrix(kind, k):
+    # a k < n matrix has a kernel line, so its sphere net holds a near-kernel point
+    for seed in range(4):
+        mat = generate(EnsembleSpec(kind, n=3, k=k, seed=seed))
+        cert = kernel_diameter_upper(mat, BallDescriptor.l1_ball(3), rho=1.0,
+                                     theta=0.5, seed=3, net_budget=1e6)
+        assert not cert.certified and not cert.norm_condition
 
 
 def test_kernel_diameter_upper_refuses_kernel_vector():

@@ -819,13 +819,13 @@ def test_check_uup_identity_and_zero_column():
 def test_check_uup_degenerate_bound():
     m = generate(EnsembleSpec("bernoulli", n=6, k=3, seed=1))
     res = check_uup(m, theta=0.5, lam=100.0)
-    assert res.holds and res.degenerate and res.support_bound == 0
+    assert res.holds and res.report is None and res.support_bound == 0
 
 
 def test_check_uup_mc_flagged_lower_bound():
     m = generate(EnsembleSpec("bernoulli", n=30, k=10, seed=2))
     res = check_uup(m, theta=0.9, lam=4.0, method="monte-carlo", trials=50, seed=3)
-    assert res.lower_bound_only
+    assert res.report.method == MC_METHOD
     assert res.report.trials == 50
 
 
@@ -875,6 +875,19 @@ def test_verify_on_net_flags_empty():
               ambient=BallDescriptor.euclidean_sphere(4))
     res = verify_on_net(m, net, theta=0.5)
     assert res.all_pass and res.degenerate
+
+
+def test_verify_on_net_counts_a_nan_deviation_as_a_violation():
+    # every comparison with NaN is false, so "dev > theta/5" would pass the point
+    entries = np.eye(3) * math.sqrt(3)
+    entries[0, 0] = math.nan
+    m = MeasurementMatrix(entries=entries, spec=EnsembleSpec("gaussian", n=3, k=3, seed=0))
+    net = Net(points=np.eye(3), epsilon=0.1, ambient=BallDescriptor.euclidean_sphere(3))
+    res = verify_on_net(m, net, theta=0.5)
+    # e_0 maps to the NaN column; BLAS may spread the NaN to the other images
+    assert not res.all_pass
+    assert 0 in [i for i, _ in res.violations]
+    assert all(math.isnan(dev) for _, dev in res.violations)
 
 
 @pytest.mark.parametrize("theta", [math.nan, 0.0, 1.0, -0.5])
