@@ -185,9 +185,9 @@ def cmd_uup(args) -> int:
         spec = EnsembleSpec(args.kind, args.n, args.k, seed)
         result = check_uup(generate(spec), args.theta, args.lam, method=method,
                            trials=args.trials, seed=seed, budget=args.budget)
-        measured = result.report.theta if result.report else 0.0
-        return (seed, int(result.holds), measured, result.support_bound,
-                int(result.report is None))
+        report = result.report
+        return (seed, int(result.holds), report.theta if report else 0.0,
+                report.m if report else 0, int(report is None))
 
     rows = parallel_map(one, list(args.seeds), threads=args.threads)
     rows.sort(key=lambda r: r[0])
@@ -241,7 +241,7 @@ def cmd_nets(args) -> int:
             net = net_from_json(Path(args.verify).read_text())
         except OSError as exc:
             raise IOError(str(exc)) from exc
-        except (ValueError, KeyError, InvalidSpecError) as exc:
+        except ValueError as exc:      # InvalidSpecError, or text that is not UTF-8
             raise IOError(f"corrupt net file {args.verify}: {exc}") from exc
         print(json.dumps(_reverify_net(net, args.probes, args.seed)))
         return EXIT_OK

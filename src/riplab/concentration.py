@@ -93,18 +93,20 @@ def expectation_check(spec: EnsembleSpec, directions: int, trials: int,
     """Max over unit directions of |mean |G~ x|^2 - 1| over fresh matrices.
 
     Directions are random by default; pass ``direction_vectors`` (columns)
-    to test specific ones, e.g. coordinate vectors.  Columns that are zero
-    or not finite raise InvalidSpecError.
+    to test specific ones, e.g. coordinate vectors.  No directions, or
+    columns that are zero or not finite, raise InvalidSpecError.
     """
     if trials < 100:
         raise InvalidSpecError("trials must be >= 100")
     if direction_vectors is not None:
         ys = np.asarray(direction_vectors, dtype=float)
-        if ys.ndim != 2 or ys.shape[0] != spec.n:
+        if ys.ndim != 2 or ys.shape[0] != spec.n or ys.shape[1] < 1:
             raise InvalidSpecError(f"direction vectors must be ({spec.n}, d) columns")
         if not np.isfinite(ys).all() or not ys.any(axis=0).all():
             raise InvalidSpecError("direction vectors must be finite and nonzero")
         directions = ys.shape[1]
+    elif directions < 1:
+        raise InvalidSpecError("directions must be >= 1")
     else:
         rng = philox(seed, "expectation-directions")
         ys = rng.standard_normal((spec.n, directions))

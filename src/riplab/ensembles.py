@@ -109,11 +109,8 @@ class MeasurementMatrix:
 
 @dataclass(frozen=True)
 class Psi2Estimate:
-    alpha_hat: float
-    directions_tested: int
-    samples_per_direction: int
+    alpha_hat: float             # NaN, not subgaussian, when a projection is not finite
     isotropy_max_deviation: float
-    non_subgaussian: bool = False
 
 
 def _stacked_rows(bg: np.random.Philox, seed: int, rows, count: int) -> np.ndarray:
@@ -254,11 +251,10 @@ def estimate_psi2(spec: EnsembleSpec, directions: int, samples: int) -> Psi2Esti
     ys /= np.linalg.norm(ys, axis=0)
     z = x @ ys  # samples x directions
     if not np.all(np.isfinite(z)):
-        return Psi2Estimate(math.nan, directions, samples, math.nan, True)
+        return Psi2Estimate(math.nan, math.nan)
     alphas = [_psi2_of_samples(z[:, d]) for d in range(directions)]
     iso_dev = float(np.max(np.abs(np.mean(z * z, axis=0) - 1.0)))
-    return Psi2Estimate(alpha_hat=float(max(alphas)), directions_tested=directions,
-                        samples_per_direction=samples, isotropy_max_deviation=iso_dev)
+    return Psi2Estimate(alpha_hat=float(max(alphas)), isotropy_max_deviation=iso_dev)
 
 
 def matrix_to_csv(m: MeasurementMatrix) -> str:
@@ -268,9 +264,14 @@ def matrix_to_csv(m: MeasurementMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [[float(v) for v in line.split(",")]
-            for line in text.strip().splitlines() if line.strip()]
-    return np.array(rows)
+    try:
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in text.strip().splitlines() if line.strip()])
+    except ValueError as exc:     # a non-numeric field or ragged rows
+        raise InvalidSpecError(f"malformed matrix CSV: {exc}") from exc
+    if rows.ndim != 2:
+        raise InvalidSpecError("matrix CSV has no rows")
+    return rows
 
 
 def matrix_to_binary(m: MeasurementMatrix) -> bytes:
@@ -280,8 +281,8 @@ def matrix_to_binary(m: MeasurementMatrix) -> bytes:
 
 
 def matrix_from_binary(data: bytes) -> np.ndarray:
-    if data[:4] != _BINARY_MAGIC:
-        raise InvalidSpecError("bad magic bytes; not a riplab matrix file")
+    if data[:4] != _BINARY_MAGIC or len(data) < 13:
+        raise InvalidSpecError("bad magic bytes or a short header; not a riplab matrix file")
     version, k, n = struct.unpack("<BII", data[4:13])
     if version != _BINARY_VERSION:
         raise InvalidSpecError(f"unsupported matrix format version {version}")

@@ -28,6 +28,23 @@ FAMILIES = ("lp", "weak-lp", "l1", "l2", "sparse-sphere", "sparse-ball")
 DEFAULT_ATOL = 1e-12
 
 
+# the JSON type of each typed field of a net file and of its ambient ball
+_JSON_KINDS = {"dim": int, "sparsity": int, "probes_used": int, "p": float, "radius": float,
+              "epsilon": float, "certified_cover": bool, "certified_separated": bool}
+
+
+def checked_json(obj) -> dict:
+    """obj if it is a JSON object whose _JSON_KINDS fields, where present, hold their
+    kind (an int passes as a float, a bool only as a bool); else InvalidSpecError."""
+    if type(obj) is not dict:
+        raise InvalidSpecError(f"expected a JSON object, got {type(obj).__name__}")
+    for key, kind in _JSON_KINDS.items():
+        value = obj.get(key, kind())
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise InvalidSpecError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return obj
+
+
 @dataclass(frozen=True)
 class BallDescriptor:
     """Identifies one of the supported bodies in R^dim.
@@ -72,10 +89,9 @@ class BallDescriptor:
 
     @classmethod
     def from_json(cls, text: str) -> "BallDescriptor":
-        obj = json.loads(text)
-        return cls(family=obj["family"], dim=int(obj["dim"]),
-                   p=obj.get("p"), radius=float(obj.get("radius", 1.0)),
-                   sparsity=obj.get("sparsity"))
+        obj = checked_json(json.loads(text))
+        return cls(family=obj["family"], dim=obj["dim"], p=obj.get("p"),
+                   radius=float(obj.get("radius", 1.0)), sparsity=obj.get("sparsity"))
 
     @classmethod
     def euclidean_ball(cls, dim: int, radius: float = 1.0) -> "BallDescriptor":
@@ -305,7 +321,6 @@ def sample_unit_cap(rng: np.random.Generator, ball: BallDescriptor,
 class DualBoundCheck:
     max_ratio: float
     pass_: bool
-    probes_used: int
 
 
 def _aligned_candidates(x: np.ndarray, envelope: np.ndarray,
@@ -336,7 +351,7 @@ def weak_lp_dual_bound_check(x: np.ndarray, p: float, m: int, probes: int,
     n = x.size
     denom = 2.0 * top_m_l2(x, m)
     if denom == 0.0:
-        return DualBoundCheck(max_ratio=0.0, pass_=True, probes_used=probes)
+        return DualBoundCheck(max_ratio=0.0, pass_=True)
     r = weak_lp_cap_radius(p, m)
     envelope = weak_lp_envelope(n, p, r)
     probed = sample_unit_cap(philox(seed, "dual-bound"),
@@ -344,8 +359,7 @@ def weak_lp_dual_bound_check(x: np.ndarray, p: float, m: int, probes: int,
     thresholds = np.geomspace(envelope[-1], envelope[0], 64)
     z = np.vstack([probed, _aligned_candidates(x, envelope, thresholds)])
     ratio = float(np.max(np.abs(z @ x))) / denom
-    return DualBoundCheck(max_ratio=ratio, pass_=ratio <= 1.0 + 1e-10,
-                          probes_used=probes)
+    return DualBoundCheck(max_ratio=ratio, pass_=ratio <= 1.0 + 1e-10)
 
 
 def block_norm_witness(z: np.ndarray, m: int) -> float | np.ndarray:
@@ -368,7 +382,6 @@ def block_norm_witness(z: np.ndarray, m: int) -> float | np.ndarray:
 class HullInclusionCheck:
     pass_: bool
     max_block_sum: float
-    probes_used: int
 
 
 def hull_inclusion_check(which: str, n: int, m: int, probes: int, seed: int,
@@ -391,8 +404,7 @@ def hull_inclusion_check(which: str, n: int, m: int, probes: int, seed: int,
         ball = BallDescriptor.l1_ball(n, radius=math.sqrt(m))
     z = sample_unit_cap(philox(seed, "hull-inclusion", which), ball, probes)
     worst = float(np.max(block_norm_witness(z, m), initial=0.0))
-    return HullInclusionCheck(pass_=worst <= 2.0 + 1e-10, max_block_sum=worst,
-                              probes_used=probes)
+    return HullInclusionCheck(pass_=worst <= 2.0 + 1e-10, max_block_sum=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._util import blas_threads, philox
 from .errors import BudgetError, CoverViolationError, InvalidSpecError
-from .geometry import BallDescriptor, sample_ambient_batch
+from .geometry import BallDescriptor, checked_json, sample_ambient_batch
 
 log = logging.getLogger("riplab")
 
@@ -497,12 +497,8 @@ def difference_set_net(n: int, m: int, r: float, seed: int,
 
 @dataclass(frozen=True)
 class HullDecomposition:
-    target: np.ndarray
     terms: tuple[tuple[float, int], ...]   # (coefficient, point index)
     residual_norm: float
-
-    def __post_init__(self):
-        self.target.setflags(write=False)
 
 
 def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecomposition:
@@ -549,15 +545,13 @@ def hull_decompose(z: np.ndarray, net: Net, rounds: int = 20) -> HullDecompositi
     recon = np.zeros_like(z)
     for c, idx in terms:
         recon += c * pts[idx]
-    return HullDecomposition(target=z, terms=tuple(terms),
-                             residual_norm=float(np.linalg.norm(z - recon)))
+    return HullDecomposition(terms=tuple(terms), residual_norm=float(np.linalg.norm(z - recon)))
 
 
 @dataclass(frozen=True)
 class WidthEstimate:
     estimate: float
     std_error: float
-    samples: int
 
 
 def gaussian_width(ball: BallDescriptor, samples: int, seed: int) -> WidthEstimate:
@@ -591,7 +585,7 @@ def gaussian_width(ball: BallDescriptor, samples: int, seed: int) -> WidthEstima
         raise InvalidSpecError(f"no width rule for family {fam!r}")
     est = float(np.mean(sup))
     se = float(np.std(sup, ddof=1) / math.sqrt(samples))
-    return WidthEstimate(estimate=est, std_error=se, samples=samples)
+    return WidthEstimate(estimate=est, std_error=se)
 
 
 def net_to_json(net: Net) -> str:
@@ -606,17 +600,21 @@ def net_to_json(net: Net) -> str:
 
 
 def net_from_json(text: str) -> Net:
-    obj = json.loads(text)
-    ambient = BallDescriptor.from_json(json.dumps(obj["ambient"]))
-    points = np.array(obj["points"], dtype=float)
-    if points.ndim != 2 or points.shape[1] != ambient.dim:
-        raise InvalidSpecError("net points do not match the ambient dimension")
-    if not np.isfinite(points).all():
-        raise InvalidSpecError("net points must be finite")
-    epsilon = float(obj["epsilon"])
-    if not 0.0 < epsilon < math.inf:
-        raise InvalidSpecError(f"epsilon must be positive and finite, got {epsilon!r}")
-    return Net(points=points, epsilon=epsilon, ambient=ambient,
-               certified_cover=bool(obj["certified_cover"]),
-               certified_separated=bool(obj["certified_separated"]),
-               probes_used=int(obj["probes_used"]))
+    """Load a net written by ``net_to_json``; malformed text raises InvalidSpecError."""
+    try:
+        obj = checked_json(json.loads(text))
+        net = Net(points=np.array(obj["points"], dtype=float), epsilon=float(obj["epsilon"]),
+                  ambient=BallDescriptor.from_json(json.dumps(obj["ambient"])),
+                  certified_cover=obj["certified_cover"],
+                  certified_separated=obj["certified_separated"],
+                  probes_used=obj["probes_used"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # InvalidSpecError too
+        raise InvalidSpecError(f"not a net file ({type(exc).__name__}: {exc})") from exc
+    pts = net.points
+    if pts.ndim != 2 or net.dim != net.ambient.dim or not np.isfinite(pts).all():
+        raise InvalidSpecError("net points must be finite rows of the ambient dimension")
+    if not 0.0 < net.epsilon < math.inf:
+        raise InvalidSpecError(f"epsilon must be positive and finite, got {net.epsilon!r}")
+    if net.probes_used < 0:
+        raise InvalidSpecError(f"probes_used must be >= 0, got {net.probes_used}")
+    return net

@@ -237,7 +237,7 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray,
     up to FEASIBILITY_TOL; b = 0 returns 0.  A b that is not a finite
     vector of shape (k,) raises ``InvalidSpecError``.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.array(b, dtype=float)     # copies: the result freezes its arrays
     if b.shape != (m.k,) or not np.isfinite(b).all():
         raise InvalidSpecError(f"b must be a finite vector of shape ({m.k},)")
     entries = m.entries
@@ -249,7 +249,7 @@ def l1_minimize(m: MeasurementMatrix, b: np.ndarray,
         objective=float(np.sum(np.abs(x_hat))),
         residual=float(np.linalg.norm(entries @ x_hat - b)),
         iterations=iters, gap=gap,
-        t0=None if t0 is None else np.asarray(t0, dtype=float),
+        t0=None if t0 is None else np.array(t0, dtype=float),
         error=None if t0 is None else float(np.linalg.norm(x_hat - t0)))
 
 
@@ -378,8 +378,6 @@ def kernel_diameter_lower(m: MeasurementMatrix, ball: BallDescriptor,
 class UpperBoundCertificate:
     certified: bool
     rho: float                    # a radius: every kernel vector in the ball has |z| <= rho
-    theta: float
-    sphere_cover_size: int
     norm_condition: bool          # | |G~ x| - 1 | <= theta/5 on the sphere cover
     cover_probe_pass: bool
 
@@ -410,11 +408,10 @@ def kernel_diameter_upper(m: MeasurementMatrix, ball: BallDescriptor, rho: float
     except BudgetError as exc:
         raise BudgetError(f"net budget exceeded at rho = {rho}: {exc}") from exc
     probe = cover_check(sphere_net, COVER_PROBES, seed + 2)
-    cond = verify_on_net(m, sphere_net, theta)
+    norm_condition = not verify_on_net(m, sphere_net, theta)
     return UpperBoundCertificate(
-        certified=bool(cond.all_pass and probe.pass_), rho=rho, theta=theta,
-        sphere_cover_size=len(sphere_net), norm_condition=cond.all_pass,
-        cover_probe_pass=probe.pass_)
+        certified=bool(norm_condition and probe.pass_), rho=rho,
+        norm_condition=norm_condition, cover_probe_pass=probe.pass_)
 
 
 def max_sparsity_for_budget(k: int, n: int, c_p: float, c1: float = KM_C1) -> int:

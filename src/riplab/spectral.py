@@ -431,8 +431,7 @@ def max_passing_sparsity(m: MeasurementMatrix, theta: float, trials: int,
 @dataclass(frozen=True)
 class UupCheck:
     holds: bool
-    report: RipReport | None
-    support_bound: int
+    report: RipReport | None     # at the support bound min(floor(k/lam), n): report.m
 
 
 def check_uup(m: MeasurementMatrix, theta: float, lam: float,
@@ -450,7 +449,7 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
         raise InvalidSpecError("need lam > 1")
     bound = int(m.k / lam)
     if bound == 0:
-        return UupCheck(holds=True, report=None, support_bound=0)
+        return UupCheck(holds=True, report=None)
     bound = min(bound, m.n)
     if method == EXACT_METHOD:
         report = rip_exact(m, bound, budget=budget)
@@ -458,26 +457,16 @@ def check_uup(m: MeasurementMatrix, theta: float, lam: float,
         report = rip_monte_carlo(m, bound, trials, seed, budget=budget)
     else:
         raise InvalidSpecError(f"unknown method {method!r}")
-    return UupCheck(holds=report.theta <= theta, report=report, support_bound=bound)
+    return UupCheck(holds=report.theta <= theta, report=report)
 
 
-@dataclass(frozen=True)
-class NetVerification:
-    all_pass: bool
-    violations: tuple[tuple[int, float], ...]   # (point index, |deviation|)
-    degenerate: bool = False
-
-
-def verify_on_net(m: MeasurementMatrix, net: Net, theta: float) -> NetVerification:
-    """Check | |G~ x| - 1 | <= theta/5 on the net, G~ = G/sqrt(k), for 0 < theta < 1."""
+def verify_on_net(m: MeasurementMatrix, net: Net, theta: float) -> tuple:
+    """Violations (point index, |deviation|) of | |G~ x| - 1 | <= theta/5, G~ = G/sqrt(k)."""
     if not 0.0 < theta < 1.0:
         raise InvalidSpecError("need 0 < theta < 1")
     if net.dim != m.n:
         raise InvalidSpecError("net dimension does not match the matrix")
-    if len(net) == 0:
-        return NetVerification(all_pass=True, violations=(), degenerate=True)
     images = net.points @ (m.entries / math.sqrt(m.k)).T
     dev = np.abs(np.linalg.norm(images, axis=1) - 1.0)
     bad = np.nonzero(~(dev <= theta / 5.0))[0]    # a NaN deviation is a violation
-    return NetVerification(all_pass=bad.size == 0,
-                           violations=tuple((int(i), float(dev[i])) for i in bad))
+    return tuple((int(i), float(dev[i])) for i in bad)

@@ -125,6 +125,14 @@ def test_uup_sweep_pass_fraction(tmp_path, capsys):
     assert "pass fraction 1.000" in capsys.readouterr().out
 
 
+def test_uup_degenerate_rows(tmp_path):
+    # floor(k/lam) = 0: a vacuous pass with no report, support bound 0
+    out = tmp_path / "uup.csv"
+    assert run(["uup", "--kind", "bernoulli", "--n", 8, "--k", 4, "--theta", 0.5,
+                "--lam", 100, "--seeds", "0:3", "--out", out]) == 0
+    assert out.read_text().splitlines()[1:] == [f"{s},1,0,0,1" for s in range(3)]
+
+
 def test_uup_small_theta_fails_often(tmp_path, capsys):
     out = tmp_path / "uup.csv"
     assert run(["uup", "--kind", "gaussian", "--n", 6, "--k", 3, "--theta",
@@ -244,7 +252,13 @@ def test_nets_corrupt_json_exit_2(tmp_path):
     assert run(["nets", "--verify", tmp_path / "missing.json"]) == 2
 
 
-@pytest.mark.parametrize("field,value", [("point", math.nan), ("epsilon", -1.0)])
+@pytest.mark.parametrize("field,value", [
+    ("point", math.nan), ("epsilon", -1.0),
+    pytest.param("ambient", {"family": "sparse-ball", "dim": 2, "sparsity": 1.5},
+                 id="sparsity-1.5"),
+    pytest.param("ambient", {"family": "weak-lp", "dim": 2, "p": "abc"}, id="p-abc"),
+    pytest.param("ambient", [2], id="ambient-list"), pytest.param("file", [1], id="file-list"),
+    ("ambient.dim", 2.5), ("certified_cover", "false")])
 def test_nets_verify_rejects_nan_point_and_bad_epsilon(tmp_path, capsys, field, value):
     net_file = tmp_path / "net.json"
     assert run(["nets", "--construct", "greedy", "--dim", 2, "--epsilon", 0.5,
@@ -252,12 +266,17 @@ def test_nets_verify_rejects_nan_point_and_bad_epsilon(tmp_path, capsys, field, 
     obj = json.loads(net_file.read_text())
     if field == "point":
         obj["points"][0][1] = value
+    elif field == "file":
+        obj = value
+    elif field == "ambient.dim":
+        obj["ambient"]["dim"] = value
     else:
-        obj["epsilon"] = value
+        obj[field] = value
     net_file.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["nets", "--verify", net_file]) == 2
-    assert "corrupt net file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt net file" in err and "Traceback" not in err
 
 
 def test_nets_verify_weak_lp_net_reports_no_cover_verdict(tmp_path, capsys):

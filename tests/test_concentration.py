@@ -129,6 +129,11 @@ def test_expectation_check_rejects_bad_direction_columns(column):
     with pytest.raises(InvalidSpecError):
         expectation_check(spec, directions=1, trials=100, seed=0,
                           direction_vectors=np.ones(4))
+    # no directions at all
+    for directions, ys in ((0, None), (-1, None), (1, np.ones((4, 0)))):
+        with pytest.raises(InvalidSpecError):
+            expectation_check(spec, directions=directions, trials=100, seed=0,
+                              direction_vectors=ys)
 
 
 # sha256 over _squared_images, the tail report JSON and the expectation

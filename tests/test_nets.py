@@ -372,13 +372,25 @@ def test_net_json_round_trip():
 
 @pytest.mark.parametrize("field,value", [
     ("point", math.nan), ("point", math.inf), ("epsilon", -1.0), ("epsilon", 0.0),
-    ("epsilon", math.nan), ("epsilon", math.inf)])
+    ("epsilon", math.nan), ("epsilon", math.inf),
+    # every field must hold a JSON value of its own type
+    ("point", "abc"), ("point", [0.5]), ("point", {}),
+    pytest.param("point", 10 ** 400, id="point-huge"), ("epsilon", "0.5"), ("epsilon", True),
+    pytest.param("epsilon", 10 ** 400, id="epsilon-huge"),
+    ("ambient.sparsity", 1.5), ("ambient.p", "abc"), ("ambient.dim", 2.5),
+    ("ambient.dim", True), ("ambient.radius", "1"), ("ambient", [2]), ("file", [1]),
+    ("certified_cover", "false"), ("certified_separated", 1), ("probes_used", -1),
+    ("probes_used", 1.5), ("probes_used", True)])
 def test_net_from_json_rejects_non_finite_points_and_bad_epsilon(field, value):
     obj = json.loads(net_to_json(greedy_separated_net(2, 0.5, "ball", seed=18)))
     if field == "point":
         obj["points"][1][0] = value
+    elif field == "file":
+        obj = value
+    elif field.startswith("ambient."):
+        obj["ambient"][field.removeprefix("ambient.")] = value
     else:
-        obj["epsilon"] = value
+        obj[field] = value
     with pytest.raises(InvalidSpecError):
         net_from_json(json.dumps(obj))
 

@@ -116,6 +116,21 @@ def test_l1_identity_rows_recover_sparse_prefix_signal():
     assert np.allclose(enumerate_l1(m.entries, b)[0], t0, atol=1e-7)
 
 
+def test_l1_minimize_and_hull_decompose_leave_the_callers_arrays_writable():
+    m = first_rows_identity(10, 4)
+    t0 = np.zeros(10)
+    t0[[1, 3]] = [2.0, -1.0]
+    b = m.entries @ t0
+    res = l1_minimize(m, b, t0=t0)
+    pts = np.vstack([np.zeros(2), np.eye(2), -np.eye(2)])   # covers B_2 within 0.77
+    net = nets.Net(points=pts, epsilon=0.9, ambient=BallDescriptor.euclidean_ball(2),
+                   certified_cover=True)
+    z = np.array([0.3, -0.2])
+    nets.hull_decompose(z, net)
+    b[0] = t0[0] = z[0] = 5.0
+    assert res.b[0] == 0.0 and res.t0[0] == 0.0   # the result holds its own copies
+
+
 def test_l1_infeasible_rhs():
     m = first_rows_identity(10, 4)   # column space misses nothing... rows span R^4
     # make an infeasible system: restrict to a rank-deficient matrix
