@@ -78,6 +78,11 @@ class BallDescriptor:
         if self.family in ("sparse-sphere", "sparse-ball"):
             if self.sparsity is None or not (1 <= self.sparsity <= self.dim):
                 raise InvalidSpecError("sparse families need 1 <= sparsity <= dim")
+        if self.p is not None and self.family not in ("lp", "weak-lp"):
+            raise InvalidSpecError(f"{self.family} balls take no p")
+        if self.sparsity is not None and self.family not in (
+                "sparse-sphere", "sparse-ball", "weak-lp"):
+            raise InvalidSpecError(f"{self.family} balls take no sparsity")
 
     def to_json(self) -> str:
         obj = {"family": self.family, "radius": self.radius, "dim": self.dim}

@@ -603,6 +603,8 @@ def net_from_json(text: str) -> Net:
     """Load a net written by ``net_to_json``; malformed text raises InvalidSpecError."""
     try:
         obj = checked_json(json.loads(text))
+        if not all(type(v) in (int, float) for row in obj["points"] for v in row):
+            raise InvalidSpecError("net point coordinates must be JSON numbers")
         net = Net(points=np.array(obj["points"], dtype=float), epsilon=float(obj["epsilon"]),
                   ambient=BallDescriptor.from_json(json.dumps(obj["ambient"])),
                   certified_cover=obj["certified_cover"],

@@ -25,6 +25,7 @@ from .spectral import verify_on_net
 FEASIBILITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-6            # hull_membership: distance that counts as inside
 RANK_CUT = 1e-10                 # singular values below RANK_CUT * top are zero
+BASIS_MARGIN = 1e4 * RANK_CUT    # _basis_columns: a block this independent needs no scan
 LOWER_STEPS = 400                # subgradient steps per kernel_diameter_lower restart
 COVER_PROBES = 2000              # cover_check probes per kernel_diameter_upper
 
@@ -84,11 +85,12 @@ class ReconResult:
 PD_MU, PD_ALPHA, PD_BETA = 10.0, 0.01, 0.5
 PD_MAX_STEPS, PD_MAX_BACKTRACKS = 100, 32
 PD_GAP_REL = 1e-7                # stop once gap <= PD_GAP_REL * max(1, |x|_1)
+_PM, _MP = np.array([[1.0], [-1.0]]), np.array([[-1.0], [1.0]])   # row signs of stacks
 
 
 def _dual_bound(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """(b.y, y) after scaling y into the dual feasible set |a^T y|_inf <= 1."""
-    scale = max(1.0, float(np.max(np.abs(a.T @ y))))
+    scale = max(1.0, float(np.abs(a.T @ y).max()))
     return float(b @ y) / scale, y / scale
 
 
@@ -97,21 +99,47 @@ def _basis_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
 
     A column joins when its part orthogonal to the columns already taken
     (Gram-Schmidt, applied twice) exceeds RANK_CUT; columns of a matrix with
-    orthonormal rows have norm at most 1.
+    orthonormal rows have norm at most 1.  Each round projects all the
+    columns left at once; one under RANK_CUT / 2 stays dependent for good.
+    The diagonal of a QR factor of the next rank - t other columns shows
+    how many of them, from the first, join for sure (entries above
+    BASIS_MARGIN).  If all do, the search ends; else those columns, or the
+    first one when none is sure, are projected again one at a time as a
+    column-by-column scan does, so q and every later decision match it.
+    Batch and single projections agree to about 1e-15, far inside the cut
+    and the margin.
     """
     rank = a.shape[0]
     q = np.empty((rank, rank))
-    taken = []
-    for j in order:
+    taken, rest = [], order
+    while rest.size:
         t = len(taken)
-        c = a[:, j] - q[:, :t] @ (q[:, :t].T @ a[:, j])
-        c -= q[:, :t] @ (q[:, :t].T @ c)
-        norm = np.linalg.norm(c)
-        if norm > RANK_CUT:
-            q[:, t] = c / norm
-            taken.append(j)
-            if t + 1 == rank:
-                break
+        c = a[:, rest]
+        if t:
+            c -= q[:, :t] @ (q[:, :t].T @ c)
+            c -= q[:, :t] @ (q[:, :t].T @ c)
+        clear = np.flatnonzero(np.einsum("ij,ij->j", c, c) > (0.5 * RANK_CUT) ** 2)
+        if not clear.size:
+            break
+        head = clear[:rank - t]
+        sure = np.abs(np.diagonal(np.linalg.qr(c[:, head], mode="r"))) > BASIS_MARGIN
+        n_sure = len(head) if sure.all() else int(np.argmin(sure))
+        if n_sure == rank - t:
+            return np.array(taken + list(rest[head]))
+        stop = t + max(n_sure, 1)
+        for i in clear:
+            j, s = rest[i], len(taken)
+            cj = a[:, j] - q[:, :s] @ (q[:, :s].T @ a[:, j])
+            cj -= q[:, :s] @ (q[:, :s].T @ cj)
+            norm = np.linalg.norm(cj)
+            if norm > RANK_CUT:
+                q[:, s] = cj / norm
+                taken.append(j)
+                if s + 1 == rank:
+                    return np.array(taken)
+                if s + 1 == stop:
+                    break
+        rest = rest[i + 1:]
     return np.array(taken)
 
 
@@ -126,65 +154,78 @@ def _l1_primal_dual(a: np.ndarray, b: np.ndarray,
     collapses or the Newton matrix is singular, or after PD_MAX_STEPS.
     A crossover to a vertex follows.  Returns (x, certified gap, Newton
     steps, the dual y that certifies the gap, with |a^T y|_inf <= 1).
+
+    x, u, lam1 and lam2 are the rows of one (4, n) state stack, and
+    f1 = x - u, f2 = -x - u one (2, n) stack, so each elementwise piece of
+    a step runs once per stack, in the operation order of separate vectors.
+    Dot products stay separate 1-D products and the Newton system goes to
+    np.linalg.solve: a stacked dot or another factorization would sum in
+    another order and change the bits.
     """
     n = a.shape[1]
-    x = a.T @ b
-    u = 0.95 * np.abs(x) + 0.10 * np.max(np.abs(x))
-    f1, f2 = x - u, -x - u
-    lam1, lam2 = -1.0 / f1, -1.0 / f2
-    v = -a @ (lam1 - lam2)
+    state = np.empty((4, n))          # rows x, u, lam1, lam2
+    x, u, lam = state[0], state[1], state[2:]
+    x[:] = a.T @ b
+    u[:] = 0.95 * np.abs(x) + 0.10 * np.max(np.abs(x))
+    f = _PM * x - u                   # rows f1 = x - u, f2 = -x - u
+    lam[:] = -1.0 / f
+    v = -a @ (lam[0] - lam[1])
     atv = a.T @ v
     rpri = a @ x - b
-    tau = PD_MU * 2 * n / -(f1 @ lam1 + f2 @ lam2)
+    tau = PD_MU * 2 * n / -(f[0] @ lam[0] + f[1] @ lam[1])
 
-    def residual_norm(lam1, lam2, f1, f2, atv, rpri, tau):
+    def residual_norm(lam, f, atv, rpri, tau):
         """Norm of the dual, centrality and primal residuals stacked."""
-        parts = (lam1 - lam2 + atv, 1.0 - lam1 - lam2, lam1 * f1 + 1.0 / tau,
-                 lam2 * f2 + 1.0 / tau, rpri)
+        cent = lam * f + 1.0 / tau
+        parts = (lam[0] - lam[1] + atv, 1.0 - lam[0] - lam[1], cent[0], cent[1], rpri)
         return math.sqrt(sum(float(r @ r) for r in parts))
 
-    resnorm = residual_norm(lam1, lam2, f1, f2, atv, rpri, tau)
+    resnorm = residual_norm(lam, f, atv, rpri, tau)
+    step = np.empty((4, n))           # rows dx, du, dlam1, dlam2
+    dx, du, dlam = step[0], step[1], step[2:]
     for steps in range(1, PD_MAX_STEPS + 1):
-        w1 = (1.0 / f1 - 1.0 / f2) / tau - atv
-        w2 = -1.0 - (1.0 / f1 + 1.0 / f2) / tau
-        c1, c2 = -lam1 / f1, -lam2 / f2
-        sig1, sig2 = c1 + c2, c2 - c1
+        inv = 1.0 / f
+        w1 = (inv[0] - inv[1]) / tau - atv
+        w2 = -1.0 - (inv[0] + inv[1]) / tau
+        c = -lam / f
+        sig1, sig2 = c[0] + c[1], c[1] - c[0]
         # sig1 - sig2^2 / sig1 in a form that does not cancel near the optimum
-        sigx = 4.0 * c1 * c2 / sig1
+        sigx = 4.0 * c[0] * c[1] / sig1
+        w = w1 - w2 * sig2 / sig1
         try:
-            dv = np.linalg.solve((a / sigx) @ a.T,
-                                 rpri + a @ ((w1 - w2 * sig2 / sig1) / sigx))
+            dv = np.linalg.solve((a / sigx) @ a.T, rpri + a @ (w / sigx))
         except np.linalg.LinAlgError:
             break                     # Newton matrix singular: keep the last point
         atdv = a.T @ dv
-        dx = (w1 - w2 * sig2 / sig1 - atdv) / sigx
-        du = (w2 - sig2 * dx) / sig1
-        dlam1 = c1 * (dx - du) - lam1 - 1.0 / (tau * f1)
-        dlam2 = -c2 * (dx + du) - lam2 - 1.0 / (tau * f2)
-        # longest step keeping the multipliers positive and f1, f2 negative
-        s = 1.0
-        for val, dval in ((lam1, dlam1), (lam2, dlam2), (-f1, du - dx), (-f2, du + dx)):
-            neg = dval < 0
-            if np.any(neg):
-                s = min(s, float(np.min(-val[neg] / dval[neg])))
+        dx[:] = (w - atdv) / sigx
+        du[:] = (w2 - sig2 * dx) / sig1
+        ddu = dx + _MP * du           # rows dx - du, dx + du
+        dlam[:] = _PM * c * ddu - lam - 1.0 / (tau * f)
+        # longest step keeping the multipliers positive and f1, f2 negative:
+        # the rows -val / dval of (lam1, dlam1), (lam2, dlam2), (-f1, du - dx)
+        # and (-f2, du + dx) where dval < 0
+        num = np.concatenate((-lam, f))
+        den = np.concatenate((dlam, _MP * ddu))
+        neg = den < 0
+        s = min(1.0, float((num[neg] / den[neg]).min())) if neg.any() else 1.0
         s *= 0.99
         adx = a @ dx
         for _ in range(PD_MAX_BACKTRACKS):
-            xp, up = x + s * dx, u + s * du
-            f1p, f2p = xp - up, -xp - up
-            lam1p, lam2p = lam1 + s * dlam1, lam2 + s * dlam2
+            cand = state + s * step
+            fp = _PM * cand[0] - cand[1]
             atvp, rprip = atv + s * atdv, rpri + s * adx
-            resp = residual_norm(lam1p, lam2p, f1p, f2p, atvp, rprip, tau)
+            resp = residual_norm(cand[2:], fp, atvp, rprip, tau)
             if resp <= (1.0 - PD_ALPHA * s) * resnorm:
                 break
             s *= PD_BETA
         else:
             break                     # backtracking collapsed: keep the last point
-        x, u, f1, f2, lam1, lam2 = xp, up, f1p, f2p, lam1p, lam2p
+        state, f = cand, fp
+        x, lam = state[0], state[2:]
         v, atv, rpri = v + s * dv, atvp, rprip
-        tau = PD_MU * 2 * n / -(f1 @ lam1 + f2 @ lam2)
-        resnorm = residual_norm(lam1, lam2, f1, f2, atv, rpri, tau)
-        obj = float(np.sum(np.abs(x)))
+        tau = PD_MU * 2 * n / -(f[0] @ lam[0] + f[1] @ lam[1])
+        resnorm = residual_norm(lam, f, atv, rpri, tau)
+        obj = float(np.abs(x).sum())
         if (obj - _dual_bound(a, b, -v)[0] <= PD_GAP_REL * max(1.0, obj)
                 and np.linalg.norm(rpri) <= tol):
             break

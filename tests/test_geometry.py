@@ -267,3 +267,13 @@ def test_descriptor_validation():
         BallDescriptor("lp", 4, p=3.0)          # p out of range
     with pytest.raises(InvalidSpecError):
         BallDescriptor.sparse_sphere(4, 9)      # sparsity > dim
+
+
+@pytest.mark.parametrize("text", [
+    '{"family": "l2", "dim": 3, "sparsity": -4, "p": 7.0}',
+    '{"family": "l2", "dim": 3, "p": 2.0}', '{"family": "l1", "dim": 3, "p": 1.0}',
+    '{"family": "sparse-ball", "dim": 3, "sparsity": 2, "p": 0.5}',
+    '{"family": "l1", "dim": 3, "sparsity": 2}', '{"family": "lp", "dim": 3, "p": 0.5, "sparsity": 2}'])
+def test_descriptor_refuses_a_field_its_family_ignores(text):
+    with pytest.raises(InvalidSpecError, match="take no"):
+        BallDescriptor.from_json(text)

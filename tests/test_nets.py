@@ -380,7 +380,9 @@ def test_net_json_round_trip():
     ("ambient.sparsity", 1.5), ("ambient.p", "abc"), ("ambient.dim", 2.5),
     ("ambient.dim", True), ("ambient.radius", "1"), ("ambient", [2]), ("file", [1]),
     ("certified_cover", "false"), ("certified_separated", 1), ("probes_used", -1),
-    ("probes_used", 1.5), ("probes_used", True)])
+    ("probes_used", 1.5), ("probes_used", True),
+    pytest.param("point", "0.5", id="point-numeric-string"),
+    pytest.param("point", True, id="point-bool")])
 def test_net_from_json_rejects_non_finite_points_and_bad_epsilon(field, value):
     obj = json.loads(net_to_json(greedy_separated_net(2, 0.5, "ball", seed=18)))
     if field == "point":

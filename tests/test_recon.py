@@ -194,19 +194,98 @@ def test_primal_dual_certified_against_highs(seed):
             assert res.objective - res.gap <= opt + 1e-9 * res.objective
 
 
-def test_primal_dual_rank_deficient_bernoulli():
-    # criterion 10's instance i=81: a 6 x 9 Bernoulli matrix of rank 5
+def rank_deficient_instance():
+    """Criterion 10's instance i=81: a 6 x 9 Bernoulli matrix of rank 5, and its b."""
     rng = philox(1081, "acc10")
     n, k = int(rng.integers(8, 13)), int(rng.integers(4, 7))
     mat = generate(EnsembleSpec("bernoulli", n=n, k=k, seed=2081))
-    assert (n, k) == (9, 6) and len(kernel_basis(mat)) == n - 5
     s = int(rng.integers(1, 3))
     t0 = np.zeros(n)
     t0[rng.choice(n, s, replace=False)] = rng.standard_normal(s)
-    b = mat.entries @ t0
+    return mat, mat.entries @ t0
+
+
+def test_primal_dual_rank_deficient_bernoulli():
+    mat, b = rank_deficient_instance()
+    assert (mat.n, mat.k) == (9, 6) and len(kernel_basis(mat)) == 9 - 5
     res = l1_minimize(mat, b)
     assert abs(res.objective - enumerated_objective(mat, b)) <= 1e-6
     assert res.residual <= 1e-8
+
+
+# Criterion 9's solves and their Gaussian and n = 64 neighbours: (kind, n, seed, p, k).
+SOLVER_GRID = list(itertools.product(("bernoulli", "gaussian"), (64, 256), range(50, 56),
+                                     (1.0, 0.5), (8, 16, 32)))
+SOLVER_SHA256 = "d0472d6c37ae5e24b60df857752c966f668639dca717ffcc3d394686fb450643"
+
+
+def grid_solves():
+    for kind, n, seed, p, k in SOLVER_GRID:
+        ball = BallDescriptor.l1_ball(n) if p == 1.0 else BallDescriptor.weak_lp_ball(n, p)
+        yield recon_experiment(EnsembleSpec(kind, n=n, k=k, seed=seed), ball,
+                               "weak-lp-extremal", seed)
+
+
+def test_primal_dual_golden():
+    # pins the solver bit for bit: point, objective, residual, steps, gap, error
+    digest = hashlib.sha256()
+    for res in grid_solves():
+        digest.update(res.x_hat.tobytes())
+        digest.update(repr((res.objective, res.residual, res.iterations, res.gap,
+                            res.error)).encode())
+    assert digest.hexdigest() == SOLVER_SHA256
+
+
+def per_column_basis(a, order):
+    """Reference for recon._basis_columns: one Gram-Schmidt column at a time."""
+    rank = a.shape[0]
+    q = np.empty((rank, rank))
+    taken = []
+    for j in order:
+        t = len(taken)
+        c = a[:, j] - q[:, :t] @ (q[:, :t].T @ a[:, j])
+        c -= q[:, :t] @ (q[:, :t].T @ c)
+        norm = np.linalg.norm(c)
+        if norm > recon.RANK_CUT:
+            q[:, t] = c / norm
+            taken.append(j)
+            if t + 1 == rank:
+                break
+    return np.array(taken)
+
+
+def test_basis_columns_match_per_column_loop(monkeypatch):
+    # the crossover's (a, order) pairs on the golden grid, whose Bernoulli
+    # k = 8 rows repeat many columns, and on criterion 10's rank-5 instance
+    calls, basis = [], recon._basis_columns
+    monkeypatch.setattr(recon, "_basis_columns",
+                        lambda a, order: calls.append((a, order)) or basis(a, order))
+    for _ in grid_solves():
+        pass
+    l1_minimize(*rank_deficient_instance())
+    assert len(calls) == len(SOLVER_GRID) + 1 and calls[-1][0].shape == (5, 9)
+    for a, order in calls:
+        expect = per_column_basis(a, order)
+        got = basis(a, order)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def test_basis_columns_match_per_column_loop_near_the_cut():
+    # columns dependent on earlier ones up to a part of 3e-11 .. 1e-5 around
+    # RANK_CUT and BASIS_MARGIN, duplicates and zeros, in shuffled orders
+    rng = philox(7, "basis-near-cut")
+    for trial in range(40):
+        rank = int(rng.integers(2, 7))
+        base = np.linalg.qr(rng.standard_normal((rank, rank)))[0]
+        cols = [base[:, 0], base[:, 0], np.zeros(rank)]
+        for size in (3e-11, 9e-11, 1.1e-10, 2e-10, 1e-8, 1e-6, 1e-5):
+            cols.append(base[:, :2] @ rng.standard_normal(2) + size * base[:, 2 % rank])
+        cols.extend(base.T)
+        a = np.column_stack(cols) / 3.0
+        order = rng.permutation(a.shape[1])
+        expect = per_column_basis(a, order)
+        got = recon._basis_columns(a, order)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), trial
 
 
 def test_primal_dual_deterministic():
